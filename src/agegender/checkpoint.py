@@ -1,68 +1,90 @@
-"""Weight persistence: a textual manifest of parameter path -> shape ->
-row-major values, with a versioned header carrying the full config and its
-hashes. Values are written with repr so the round-trip is bit-exact.
+"""Weight persistence, format `agegender-weights/2`: one JSON header line
+(format, full config and its hashes, frozen paths, and `params`, the
+[name, shape] pairs in sorted name order), then each parameter's values as
+raw little-endian float64 in that order, so round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .config import ModelConfig
 from .errors import InputError
 from .fusion import FaceBodyModel
-from .tensor import Tensor
+from .tensor import Tensor, check_finite
 
-FORMAT = "agegender-weights/1"
+FORMAT = "agegender-weights/2"
+_DTYPE = np.dtype("<f8")
 
 
 def save_checkpoint(path, params, config, frozen=()):
+    names = sorted(params)
     header = {
         "format": FORMAT,
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "arch_hash": config.arch_hash(),
         "frozen": sorted(frozen),
+        "params": [[name, list(params[name].shape)] for name in names],
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for name in sorted(params):
-            p = params[name]
-            dims = ",".join(str(d) for d in p.shape)
-            values = " ".join(repr(v) for v in p.data.reshape(-1).tolist())
-            fh.write(f"{name}\t{dims}\t{values}\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for name in names:
+            fh.write(np.asarray(params[name].data, dtype=_DTYPE).tobytes())
+
+
+def _is_param_entry(entry):
+    """[name, shape]: a string name and a list of non-negative int dims."""
+    return (
+        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+        and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
+    )
 
 
 def load_checkpoint(path):
-    """Returns (arrays {name: ndarray}, config, frozen set)."""
-    with open(path) as fh:
+    """Returns (arrays {name: ndarray}, config, frozen set). The arrays are
+    read-only views of one buffer; a non-finite value raises NumericalError."""
+    with open(path, "rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: bad checkpoint header: {exc}") from exc
-        if header.get("format") != FORMAT:
-            raise InputError(f"{path}: unknown checkpoint format {header.get('format')!r}")
+        payload = fh.read()
+    try:
+        header = json.loads(header_line)
+    except ValueError as exc:
+        raise InputError(f"{path}: bad checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise InputError(f"{path}: checkpoint header is not a JSON object")
+    if header.get("format") != FORMAT:
+        raise InputError(
+            f"{path}: unknown checkpoint format {header.get('format')!r}, expected {FORMAT!r}"
+        )
+    try:
         config = ModelConfig.from_dict(header["config"])
-        if config.config_hash() != header.get("config_hash"):
-            raise InputError(f"{path}: config hash mismatch (corrupt or edited header)")
-        arrays = {}
-        for line_no, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                name, dims, values = line.split("\t")
-                shape = tuple(int(d) for d in dims.split(",")) if dims else ()
-                flat = np.array([float(v) for v in values.split(" ")])
-            except ValueError as exc:
-                raise InputError(f"{path}:{line_no}: bad parameter line") from exc
-            expected = int(np.prod(shape)) if shape else 1
-            if flat.size != expected:
-                raise InputError(f"{path}:{line_no}: {name}: {flat.size} values for shape {shape}")
-            arrays[name] = flat.reshape(shape)
-    return arrays, config, set(header.get("frozen", []))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"{path}: bad checkpoint config: {exc!r}") from exc
+    if config.config_hash() != header.get("config_hash"):
+        raise InputError(f"{path}: config hash mismatch (corrupt or edited header)")
+    table, frozen = header.get("params"), header.get("frozen")
+    if not isinstance(table, list) or not all(map(_is_param_entry, table)):
+        raise InputError(f"{path}: missing or malformed params table")
+    names = [name for name, _ in table]
+    if len(set(names)) != len(names):
+        raise InputError(f"{path}: duplicate names in params table")
+    if not isinstance(frozen, list) or not all(name in names for name in frozen):
+        raise InputError(f"{path}: frozen list missing or naming unknown parameters")
+    sizes = [math.prod(shape) for _, shape in table]
+    expected = sum(sizes) * _DTYPE.itemsize
+    if len(payload) != expected:
+        raise InputError(f"{path}: payload is {len(payload)} bytes, params table needs {expected}")
+    flat = np.frombuffer(payload, dtype=_DTYPE)
+    ends = np.cumsum(sizes)
+    arrays = {
+        name: check_finite(flat[end - size:end].reshape(shape), f"{path}: {name}")
+        for (name, shape), size, end in zip(table, sizes, ends)
+    }
+    return arrays, config, set(frozen)
 
 
 def save_model(path, model: FaceBodyModel):
@@ -84,7 +106,6 @@ def load_model(path):
     for name in frozen:
         model.params[name].requires_grad = False
     model.frozen = frozen
-    model._zero_token_cache.clear()
     return model
 
 
@@ -114,5 +135,4 @@ def init_from_single_input(face_checkpoint, config, enhancer_seed=None):
             raise InputError(f"{face_checkpoint}: missing parameter {source}")
         model.params[name] = Tensor(arrays[source], requires_grad=True)
     model.freeze("face_embed")
-    model._zero_token_cache.clear()
     return model

@@ -96,10 +96,6 @@ class ModelConfig:
     erase_prob: float = 0.5
     erase_area_min: float = 0.02
     erase_area_max: float = 0.2
-    # reserved slot: the full policy-based augmentation suite is out of
-    # desk-scale scope, the flag keeps the config surface stable
-    use_randaugment: bool = False
-    randaugment_magnitude: int = 22
     seed: int = 0
 
     def __post_init__(self):

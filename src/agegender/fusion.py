@@ -3,13 +3,12 @@
 A :class:`CropPair` is the unit of inference: a face crop, a body crop, or
 both. An absent side is by convention the zero image, so flagging a side
 absent and feeding explicit zeros are bitwise-identical, and the skip path
-can substitute the precomputed zero-input embedding without running the
-projection.
+can substitute the zero-input embedding (the bias, tiled) without running
+the projection.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,7 +137,6 @@ class FaceBodyModel:
         init_trunk(params, rng, config)
         self.params = params
         self.frozen = set()
-        self._zero_token_cache = {}
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -161,38 +159,26 @@ class FaceBodyModel:
 
     # -- forward ---------------------------------------------------------------
 
-    def _zero_tokens(self, side, batch):
-        """Bias-only token grid, cached per weight version."""
-        prefix = f"{side}_embed"
-        bias = self.params[prefix + ".bias"].data
-        version = hashlib.sha256(bias.tobytes()).hexdigest()[:16]
-        key = (side, version, batch)
-        hit = self._zero_token_cache.get(key)
-        if hit is None:
-            hit = zero_input_tokens(self.params, prefix, self.config, batch).data
-            self._zero_token_cache[key] = hit
-        return T.constant(hit)
-
     def forward_batch(self, faces, bodies, ctx=None, skip=None):
         """Run a batch of (face, body) image pairs.
 
         faces/bodies: [B, 3, S, S] arrays (zero image where absent).
         skip: None, "face" or "body"; the named side is known absent for
-        the whole batch and its embedding is substituted by the cached
-        zero-input tokens instead of running the projection.
+        the whole batch and its embedding is substituted by the zero-input
+        tokens (the embedding bias, tiled) instead of running the projection.
 
         Returns (gender_logits [B, 2], age_norm [B]) tensors.
         """
         cfg = self.config
         batch = faces.shape[0] if skip != "face" else bodies.shape[0]
         if skip == "face":
-            face_tokens = self._zero_tokens("face", batch)
+            face_tokens = zero_input_tokens(self.params, "face_embed", cfg, batch)
         else:
             face_tokens = patch_embed(
                 self.params, "face_embed", T.constant(np.transpose(faces, (0, 2, 3, 1))), cfg
             )
         if skip == "body":
-            body_tokens = self._zero_tokens("body", batch)
+            body_tokens = zero_input_tokens(self.params, "body_embed", cfg, batch)
         else:
             body_tokens = patch_embed(
                 self.params, "body_embed", T.constant(np.transpose(bodies, (0, 2, 3, 1))), cfg

@@ -69,19 +69,3 @@ class AdamW:
             v += (1.0 - b2) * g * g
             p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
 
-
-def adamw_scalar_reference(theta, grad, lr, wd, b1, b2, eps, steps=1):
-    """Straight-line transcription of the update rule for one scalar.
-
-    Kept next to the optimizer as its cross-check; tests compare the
-    vectorized implementation against this.
-    """
-    m = v = 0.0
-    for t in range(1, steps + 1):
-        theta = theta - lr * wd * theta
-        m = b1 * m + (1 - b1) * grad
-        v = b2 * v + (1 - b2) * grad * grad
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        theta = theta - lr * mhat / (vhat**0.5 + eps)
-    return theta

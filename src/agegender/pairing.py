@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError
 
@@ -83,54 +84,15 @@ class AssignmentResult:
 def hungarian(cost):
     """Minimum-cost assignment on a square matrix; returns col index per row.
 
-    O(n^3) shortest-augmenting-path formulation with row/column potentials.
+    Delegates to `scipy.optimize.linear_sum_assignment`. Where several
+    assignments share the minimum cost, which one comes back is scipy's
+    choice.
     """
     cost = np.asarray(cost, dtype=np.float64)
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise InputError(f"hungarian needs a square matrix, got {cost.shape}")
-    inf = np.inf
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)  # match[j]: row assigned to column j (1-based)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    assignment = np.zeros(n, dtype=int)
-    for j in range(1, n + 1):
-        assignment[match[j] - 1] = j - 1
-    return assignment
+    return linear_sum_assignment(cost)[1]
 
 
 def overlap_cost(face: BBox, person: BBox):

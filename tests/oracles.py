@@ -74,3 +74,17 @@ def aggregate_oracle(votes, method):
             return float(np.median(xs))
         return float(sps.trim_mean(xs, 0.3))
     raise AssertionError(method)
+
+
+def adamw_scalar_reference(theta, grad, lr, wd, b1, b2, eps, steps=1):
+    """Straight-line transcription of the AdamW update rule for one scalar;
+    tests compare the vectorized optimizer against this."""
+    m = v = 0.0
+    for t in range(1, steps + 1):
+        theta = theta - lr * wd * theta
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        mhat = m / (1 - b1**t)
+        vhat = v / (1 - b2**t)
+        theta = theta - lr * mhat / (vhat**0.5 + eps)
+    return theta

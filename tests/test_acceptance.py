@@ -365,7 +365,7 @@ def test_criterion_10_determinism_and_persistence(tmp_path_factory):
     r2 = train(manifest, cfg, root / "b")
     assert r1.log_lines == r2.log_lines
     assert r1.losses == r2.losses
-    with open(r1.checkpoint_path) as f1, open(r2.checkpoint_path) as f2:
+    with open(r1.checkpoint_path, "rb") as f1, open(r2.checkpoint_path, "rb") as f2:
         assert f1.read() == f2.read()
 
     model = load_model(r1.checkpoint_path)

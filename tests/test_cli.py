@@ -5,11 +5,13 @@ import pytest
 
 from agegender.cli import main
 from agegender.config import micro_config
+from agegender.checkpoint import save_model
 from agegender.data import (
     read_sample_manifest,
     write_detection_manifest,
     write_ppm,
 )
+from agegender.fusion import FaceBodyModel
 from agegender.pairing import BBox, Detection
 
 
@@ -46,6 +48,78 @@ def test_eval_missing_checkpoint_is_input_error(tmp_path):
     code = run(["eval", "--manifest", str(data / "manifest.jsonl"),
                 "--checkpoint", str(tmp_path / "nope.ckpt")])
     assert code == 1
+
+
+def _edit_header(edit):
+    def apply(blob):
+        line, payload = blob.split(b"\n", 1)
+        header = json.loads(line)
+        return json.dumps(edit(header)).encode() + b"\n" + payload
+    return apply
+
+
+def _set(key, value):
+    return _edit_header(lambda h: {**h, key: value})
+
+
+def _drop(key):
+    return _edit_header(lambda h: {k: v for k, v in h.items() if k != key})
+
+
+def _v1_text(blob):
+    header = json.loads(blob.split(b"\n", 1)[0])
+    header["format"] = "agegender-weights/1"
+    del header["params"]
+    return (json.dumps(header) + "\nhead.fc2.bias\t3\t0.0 0.0 0.0\n").encode()
+
+
+MALFORMED_CHECKPOINTS = {
+    "not_json": lambda blob: b"\xff\xfe{{\n" + blob,
+    "header_not_object": lambda blob: b"[1, 2]\n" + blob.split(b"\n", 1)[1],
+    "v1_text": _v1_text,
+    "missing_config": _drop("config"),
+    "config_not_object": _set("config", [1, 2]),
+    "missing_params": _drop("params"),
+    "missing_frozen": _drop("frozen"),
+    "unknown_frozen": _set("frozen", ["no.such.param"]),
+    "bad_shape": _edit_header(lambda h: {**h, "params": [[h["params"][0][0], [-1]]] + h["params"][1:]}),
+    "truncated_payload": lambda blob: blob[:-8],
+    "overlong_payload": lambda blob: blob + bytes(8),
+}
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
+    run(["synth", "--n", "2", "--out", str(root / "data")])
+    ckpt = root / "model.ckpt"
+    save_model(ckpt, FaceBodyModel(micro_config()))
+    return root / "data" / "manifest.jsonl", ckpt.read_bytes()
+
+
+def _eval_code(eval_inputs, blob, tmp_path):
+    manifest, _ = eval_inputs
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(blob)
+    return run(["eval", "--manifest", str(manifest), "--checkpoint", str(path)])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_eval_malformed_checkpoint_is_input_error(case, eval_inputs, tmp_path, capsys):
+    blob = MALFORMED_CHECKPOINTS[case](eval_inputs[1])
+    assert _eval_code(eval_inputs, blob, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edited.ckpt" in err
+    if case == "v1_text":
+        assert "agegender-weights/2" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_eval_non_finite_weight_is_numerical_failure(value, eval_inputs, tmp_path, capsys):
+    blob = eval_inputs[1]
+    blob = blob[:-8] + np.array([value], dtype="<f8").tobytes()
+    assert _eval_code(eval_inputs, blob, tmp_path) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_train_unknown_config_key_is_input_error(tmp_path):

@@ -188,6 +188,19 @@ def test_skip_path_bit_exact_both_sides(rng):
         assert model.forward_pair(face_only)[1] == model.forward_pair_skip(face_only)[1]
 
 
+def test_skip_path_follows_in_place_bias_updates(rng):
+    # optimizer steps write parameters in place; the skip path must see them
+    cfg = micro_config()
+    model = FaceBodyModel(cfg)
+    img = crops(rng, cfg)[0]
+    for side, pair in (("face", CropPair(body=img)), ("body", CropPair(face=img))):
+        model.forward_pair_skip(pair)
+        model.params[f"{side}_embed.bias"].data += rng.standard_normal(cfg.stage1_width)
+        direct, skipped = model.forward_pair(pair), model.forward_pair_skip(pair)
+        np.testing.assert_array_equal(direct[0], skipped[0])
+        assert direct[1] == skipped[1]
+
+
 def test_skip_path_misuse(rng):
     cfg = micro_config()
     model = FaceBodyModel(cfg)

@@ -12,10 +12,11 @@ from agegender.config import micro_config, tiny_config
 from agegender.data import SampleRecord, synth_sample
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair, FaceBodyModel
-from agegender.optim import AdamW, adamw_scalar_reference, effective_lr, warmup_lr
+from agegender.optim import AdamW, effective_lr, warmup_lr
 from agegender.pairing import BBox
 from agegender.preprocess import CHANNEL_MEAN
 from agegender.tensor import Tensor
+from oracles import adamw_scalar_reference
 
 
 @pytest.fixture
@@ -234,9 +235,10 @@ def test_checkpoint_detects_tampering(tmp_path):
     model = FaceBodyModel(cfg)
     path = tmp_path / "m.ckpt"
     save_model(path, model)
-    lines = path.read_text().splitlines()
-    lines[0] = lines[0].replace('"seed": 0', '"seed": 1')
-    path.write_text("\n".join(lines) + "\n")
+    blob = path.read_bytes()
+    header_end = blob.index(b"\n")
+    header = blob[:header_end].replace(b'"seed": 0', b'"seed": 1')
+    path.write_bytes(header + blob[header_end:])
     with pytest.raises(InputError, match="hash"):
         load_checkpoint(path)
 

@@ -53,7 +53,7 @@ def test_train_seeded_reruns_are_bit_identical(dataset, tmp_path):
     r2 = train(dataset, fast_config(), tmp_path / "b")
     assert r1.log_lines == r2.log_lines
     assert r1.losses == r2.losses
-    with open(r1.checkpoint_path) as f1, open(r2.checkpoint_path) as f2:
+    with open(r1.checkpoint_path, "rb") as f1, open(r2.checkpoint_path, "rb") as f2:
         assert f1.read() == f2.read()
 
 
