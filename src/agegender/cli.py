@@ -201,7 +201,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (InputError, ConfigError, DimensionError, TapeError, FileNotFoundError) as exc:
+    except (InputError, ConfigError, DimensionError, TapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -40,6 +41,10 @@ _PROBABILITY_FIELDS = (
     "hflip_prob",
     "erase_prob",
 )
+
+# field annotation (a string: annotations are postponed here) -> accepted
+# value types; bools are rejected as numbers
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 @dataclass
@@ -99,6 +104,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            v = getattr(self, field.name)
+            if isinstance(v, bool) != (field.type == "bool") or not isinstance(v, _FIELD_TYPES[field.type]):
+                raise ConfigError(f"{field.name} must be {field.type}, got {v!r}")
         for name in _PROBABILITY_FIELDS:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -80,22 +80,12 @@ def init_enhancer(params, rng, cfg):
 def cross_attention_unit(params, prefix, q_tokens, kv_tokens, cfg):
     """Residual multi-head cross-attention: queries from one view, keys and
     values from the other. Pre-norm on both views."""
-    b, t, c = q_tokens.shape
-    heads = cfg.enhancer_heads
-    hd = c // heads
-
     qn = lnorm(params, prefix + ".norm_q", q_tokens)
     kn = lnorm(params, prefix + ".norm_kv", kv_tokens)
-
-    def to_heads(x):
-        return T.transpose(T.reshape(x, (b, t, heads, hd)), (0, 2, 1, 3))
-
-    q = to_heads(linear(params, prefix + ".q", qn))
-    k = to_heads(linear(params, prefix + ".k", kn))
-    v = to_heads(linear(params, prefix + ".v", kn))
-
-    att = T.softmax((q @ T.transpose(k, (0, 1, 3, 2))) * float(hd**-0.5), axis=-1)
-    out = T.reshape(T.transpose(att @ v, (0, 2, 1, 3)), (b, t, c))
+    q = linear(params, prefix + ".q", qn)
+    k = linear(params, prefix + ".k", kn)
+    v = linear(params, prefix + ".v", kn)
+    out = T.attention(q, k, v, cfg.enhancer_heads)
     return q_tokens + linear(params, prefix + ".proj", out)
 
 

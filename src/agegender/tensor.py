@@ -1,13 +1,25 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Ops record onto the active :class:`Tape` (a context manager). Without an
-active tape they only compute values, which doubles as the inference fast
-path. Storage is row-major float64 throughout and structural ops
-(reshape, transpose, concat, narrow) copy instead of aliasing: correctness
-over speed at desk scale.
+Ops record onto the active :class:`Tape` (a context manager). The active
+tape is per thread (a context variable), so an op only ever records onto
+its own thread's tape. Without an active tape ops only compute values,
+which doubles as the inference fast path.
+
+Three layers are fused ops, each one tape node with an analytic backward:
+`linear` (x @ W + b over N-d x), `outlook_attention` (VOLO's windowed
+attention, unfold -> softmax attention -> fold, averaged over overlaps)
+and `attention` (multi-head scaled dot-product attention). Each keeps the
+operand layouts and reduction axes of the generic-op composite it
+replaces, so values and gradients are bitwise those of the composite.
+
+Storage is row-major float64 throughout and structural ops (reshape,
+transpose, concat, narrow) still copy instead of aliasing: correctness
+over speed at desk scale. No op writes into an input buffer.
 """
 
 from __future__ import annotations
+
+import contextvars
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -17,7 +29,7 @@ from .errors import DimensionError, NumericalError, TapeError
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_ACTIVE_TAPE = None
+_ACTIVE_TAPE = contextvars.ContextVar("agegender_active_tape", default=None)
 
 
 class Tensor:
@@ -124,8 +136,9 @@ class _Node:
 class Tape:
     """Records ops in execution order; replays them in reverse on backward.
 
-    One logical thread per tape. A tape can run backward exactly once;
-    call :meth:`reset` (or build a fresh tape) before reusing it.
+    A tape is active only in the thread that entered it; every thread can
+    have its own. A tape can run backward exactly once; call :meth:`reset`
+    (or build a fresh tape) before reusing it.
     """
 
     def __init__(self):
@@ -133,15 +146,13 @@ class Tape:
         self._used = False
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise TapeError("tapes do not nest")
-        _ACTIVE_TAPE = self
+        _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.set(None)
         return False
 
     def __len__(self):
@@ -177,7 +188,7 @@ def _emit(data, inputs, backward):
     out.data = data if data.dtype == np.float64 else data.astype(np.float64)
     out.requires_grad = False
     out.grad = None
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._nodes.append(_Node(tuple(inputs), out, backward))
@@ -271,6 +282,25 @@ def matmul(a, b):
         return (ga, gb)
 
     return _emit(data, (a, b), backward)
+
+
+def linear(x, w, b):
+    """x @ w + b over the last axis of an N-d `x`: leading dims are
+    flattened into one GEMM, and the whole layer is one node."""
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: x {x.shape}, weight {w.shape} and bias {b.shape} do not fit")
+    flat = x.data.reshape(-1, w.shape[0])
+    out = flat @ w.data + b.data
+
+    def backward(g):
+        g = g.reshape(-1, w.shape[1])
+        return (
+            (g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            flat.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _emit(out.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +402,20 @@ def tmean(a, axis=None, keepdims=False):
 # normalized maps
 
 
+def _softmax(x, axis=-1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(s, g, axis=-1):
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1):
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax(a.data, axis)
 
     def backward(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+        return (_softmax_backward(s, g, axis),)
 
     return _emit(s, (a,), backward)
 
@@ -513,6 +550,88 @@ def overlap_counts(h, w, k, stride=1, pad=1):
     if pad:
         counts = counts[pad:hp - pad, pad:wp - pad].copy()
     return counts
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def outlook_attention(attn_logits, v, k, heads):
+    """VOLO outlook attention over a [B, H, W, C] grid of values `v`.
+
+    `attn_logits` [B, H, W, heads*k^4] holds, per position, one k*k x k*k
+    weight matrix per head. Each is softmaxed over its rows and applied to
+    the k x k window of values around that position (stride 1, zero
+    padding (k-1)/2, channels split into `heads` groups); the windows are
+    folded back onto the grid and each position divided by the number of
+    windows covering it.
+    """
+    if v.ndim != 4 or k % 2 == 0 or v.shape[3] % heads or attn_logits.shape != v.shape[:3] + (heads * k**4,):
+        raise DimensionError(
+            f"outlook_attention: logits {attn_logits.shape} and values {v.shape} "
+            f"do not fit k={k} heads={heads}"
+        )
+    b, h, w, c = v.shape
+    kk, d, pad = k * k, c // heads, (k - 1) // 2
+    hp, wp = h + 2 * pad, w + 2 * pad
+    inv_counts = 1.0 / overlap_counts(h, w, k, 1, pad)[None, :, :, None]
+    s = _softmax(attn_logits.data.reshape(b, h * w, heads, kk, kk))
+    cols = _gather_windows(np.pad(v.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))), k, 1, h, w)
+    # contiguous [B, L, heads, kk, d], and below a strided view of the upstream
+    # gradient: the matmul operands the generic-op composite had, so results
+    # are bitwise the composite's
+    cols = cols.reshape(b, h * w, kk, heads, d).transpose(0, 1, 3, 2, 4).copy()
+    out = (s @ cols).transpose(0, 1, 3, 2, 4).reshape(b, h * w, kk, c)
+    grid = _scatter_windows(out, hp, wp, k, 1, h, w)[:, pad:hp - pad, pad:wp - pad, :]
+
+    def backward(g):
+        gp = np.pad(g * inv_counts, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        gout = _gather_windows(gp, k, 1, h, w).reshape(b, h * w, kk, heads, d).transpose(0, 1, 3, 2, 4)
+        ga = gv = None
+        if attn_logits.requires_grad:
+            ga = _softmax_backward(s, gout @ np.swapaxes(cols, -1, -2)).reshape(attn_logits.shape)
+        if v.requires_grad:
+            gcols = (np.swapaxes(s, -1, -2) @ gout).transpose(0, 1, 3, 2, 4).reshape(b, h * w, kk, c)
+            gv = _scatter_windows(gcols, hp, wp, k, 1, h, w)[:, pad:hp - pad, pad:wp - pad, :]
+        return (ga, gv)
+
+    return _emit(grid * inv_counts, (attn_logits, v), backward)
+
+
+def attention(q, k, v, heads):
+    """Multi-head softmax(q k^T / sqrt(d)) v.
+
+    q [B, Tq, C] attends over k, v [B, Tk, C]; channels split into `heads`
+    groups of d = C / heads, and the heads are merged back into [B, Tq, C].
+    """
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} must be [B, T, C]")
+    b, tq, c = q.shape
+    tk = k.shape[1]
+    if k.shape != (b, tk, c) or c % heads:
+        raise DimensionError(f"attention: q {q.shape} and k/v {k.shape} do not fit {heads} heads")
+    d = c // heads
+    scale = float(d**-0.5)
+    # contiguous head-major copies, as the composite's matmul operands were
+    qh = q.data.reshape(b, tq, heads, d).transpose(0, 2, 1, 3).copy()
+    kt = k.data.reshape(b, tk, heads, d).transpose(0, 2, 3, 1).copy()
+    vh = v.data.reshape(b, tk, heads, d).transpose(0, 2, 1, 3).copy()
+    s = _softmax((qh @ kt) * scale)  # [B, heads, Tq, Tk]
+
+    def backward(g):
+        gout = g.reshape(b, tq, heads, d).transpose(0, 2, 1, 3)
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = (np.swapaxes(s, -1, -2) @ gout).transpose(0, 2, 1, 3).reshape(b, tk, c)
+        if q.requires_grad or k.requires_grad:
+            glogits = _softmax_backward(s, gout @ np.swapaxes(vh, -1, -2)) * scale
+            if q.requires_grad:
+                gq = (glogits @ np.swapaxes(kt, -1, -2)).transpose(0, 2, 1, 3).reshape(b, tq, c)
+            if k.requires_grad:
+                gk = (np.swapaxes(qh, -1, -2) @ glogits).transpose(0, 3, 1, 2).reshape(b, tk, c)
+        return (gq, gk, gv)
+
+    return _emit((s @ vh).transpose(0, 2, 1, 3).reshape(b, tq, c), (q, k, v), backward)
 
 
 # ---------------------------------------------------------------------------

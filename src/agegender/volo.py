@@ -3,8 +3,9 @@
 Everything is functional: parameters live in a flat {path: Tensor} dict
 and every forward takes (params, prefix, input). That keeps checkpointing,
 freezing and finite-difference checks trivial, and matches the
-pure-function concurrency story: concurrent readers of frozen weights are
-safe as long as they use separate tapes.
+pure-function concurrency story: the active tape is per thread, so threads
+may read the same frozen weights at once, each training under its own tape
+or inferring untaped.
 
 Token grids are [B, H, W, C]; token sequences are [B, T, C].
 """
@@ -71,15 +72,7 @@ def init_norm(params, name, width):
 
 
 def linear(params, name, x):
-    # flatten leading dims so the matmul is one big GEMM instead of a
-    # stack of small ones
-    w = params[name + ".weight"]
-    b = params[name + ".bias"]
-    if x.ndim == 2:
-        return x @ w + b
-    lead = x.shape[:-1]
-    flat = T.reshape(x, (-1, x.shape[-1]))
-    return T.reshape(flat @ w + b, lead + (w.shape[1],))
+    return T.linear(x, params[name + ".weight"], params[name + ".bias"])
 
 
 def lnorm(params, name, x):
@@ -148,31 +141,15 @@ def outlooker_forward(params, prefix, x, cfg, ctx=None):
     projection of each center token (no query-key products), then MLP.
     Spatial shape is preserved.
     """
-    b, h, w, c = x.shape
+    _, h, w, _ = x.shape
     k = cfg.outlook_window
     if h < k or w < k:
         raise ConfigError(f"outlook window {k} exceeds token grid {h}x{w}")
-    heads = cfg.outlook_heads
-    d = c // heads
-    pad = (k - 1) // 2
 
     xn = lnorm(params, prefix + ".norm1", x)
     attn = linear(params, prefix + ".attn", xn)
-    attn = T.reshape(attn, (b, h * w, heads, k * k, k * k))
-    attn = T.softmax(attn, axis=-1)
-
     v = linear(params, prefix + ".v", xn)
-    cols = T.unfold(v, k, 1, pad)  # [B, L, k*k, C]
-    cols = T.reshape(cols, (b, h * w, k * k, heads, d))
-    cols = T.transpose(cols, (0, 1, 3, 2, 4))  # [B, L, heads, k*k, d]
-
-    out = attn @ cols  # [B, L, heads, k*k, d]
-    out = T.transpose(out, (0, 1, 3, 2, 4))
-    out = T.reshape(out, (b, h * w, k * k, c))
-    grid = T.fold(out, (h, w), k, 1, pad)
-    inv_counts = 1.0 / T.overlap_counts(h, w, k, 1, pad)
-    grid = grid * T.constant(inv_counts[None, :, :, None])
-    grid = linear(params, prefix + ".proj", grid)
+    grid = linear(params, prefix + ".proj", T.outlook_attention(attn, v, k, cfg.outlook_heads))
 
     x = x + _drop_path(grid, ctx)
     x = x + _drop_path(_mlp(params, prefix + ".mlp", lnorm(params, prefix + ".norm2", x), ctx), ctx)
@@ -194,9 +171,7 @@ def downsample_forward(params, prefix, x):
     if h % 2 or w % 2:
         raise DimensionError(f"downsample needs even dims, got {h}x{w}")
     cols = T.unfold(x, 2, 2, 0)  # [B, h/2*w/2, 4, C]
-    cols = T.reshape(cols, (b, (h // 2) * (w // 2), 4 * c))
-    out = linear(params, prefix, cols)
-    return T.reshape(out, (b, h // 2, w // 2, 2 * c))
+    return linear(params, prefix, T.reshape(cols, (b, h // 2, w // 2, 4 * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +188,11 @@ def init_transformer(params, prefix, rng, cfg):
 
 
 def transformer_forward(params, prefix, x, cfg, ctx=None):
-    b, t, width = x.shape
-    heads = cfg.attn_heads
-    hd = width // heads
-
+    width = x.shape[-1]
     xn = lnorm(params, prefix + ".norm1", x)
     qkv = linear(params, prefix + ".qkv", xn)  # [B, T, 3*width]
-    qkv = T.reshape(qkv, (b, t, 3, heads, hd))
-    qkv = T.transpose(qkv, (2, 0, 3, 1, 4))  # [3, B, heads, T, hd]
-    q = T.reshape(T.narrow(qkv, 0, 0, 1), (b, heads, t, hd))
-    k = T.reshape(T.narrow(qkv, 0, 1, 1), (b, heads, t, hd))
-    v = T.reshape(T.narrow(qkv, 0, 2, 1), (b, heads, t, hd))
-
-    att = T.softmax((q @ T.transpose(k, (0, 1, 3, 2))) * float(hd**-0.5), axis=-1)
-    out = att @ v  # [B, heads, T, hd]
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, width))
-    out = linear(params, prefix + ".proj", out)
+    q, k, v = (T.narrow(qkv, -1, i * width, width) for i in range(3))
+    out = linear(params, prefix + ".proj", T.attention(q, k, v, cfg.attn_heads))
 
     x = x + _drop_path(out, ctx)
     x = x + _drop_path(_mlp(params, prefix + ".mlp", lnorm(params, prefix + ".norm2", x), ctx), ctx)

@@ -2,10 +2,16 @@
 
 These deliberately avoid the package's own code paths: scipy statistics
 where they exist, straight-line transcriptions of the formulas elsewhere.
+The exception is the fused layers of the tensor engine, whose oracles are
+the composites of generic ops (unfold, fold, softmax, matmul, reshape,
+transpose) they replace; those ops have finite-difference tests of their
+own.
 """
 
 import numpy as np
 from scipy import stats as sps
+
+from agegender import tensor as T
 
 KDE_BANDWIDTH = 2.0
 KDE_GRID_STEP = 0.1
@@ -88,3 +94,36 @@ def adamw_scalar_reference(theta, grad, lr, wd, b1, b2, eps, steps=1):
         vhat = v / (1 - b2**t)
         theta = theta - lr * mhat / (vhat**0.5 + eps)
     return theta
+
+
+def linear_oracle(x, w, b):
+    """x @ w + b, leading dims of x flattened around the matmul."""
+    if x.ndim == 2:
+        return x @ w + b
+    flat = T.reshape(x, (-1, x.shape[-1]))
+    return T.reshape(flat @ w + b, x.shape[:-1] + (w.shape[1],))
+
+
+def outlook_attention_oracle(attn_logits, v, k, heads):
+    """Outlook attention as unfold -> per-window softmax attention -> fold,
+    then division by the overlap counts."""
+    b, h, w, c = v.shape
+    kk, d, pad = k * k, c // heads, (k - 1) // 2
+    attn = T.softmax(T.reshape(attn_logits, (b, h * w, heads, kk, kk)), axis=-1)
+    cols = T.reshape(T.unfold(v, k, 1, pad), (b, h * w, kk, heads, d))
+    out = attn @ T.transpose(cols, (0, 1, 3, 2, 4))  # [B, L, heads, kk, d]
+    out = T.reshape(T.transpose(out, (0, 1, 3, 2, 4)), (b, h * w, kk, c))
+    grid = T.fold(out, (h, w), k, 1, pad)
+    return grid * T.constant(1.0 / T.overlap_counts(h, w, k, 1, pad)[None, :, :, None])
+
+
+def attention_oracle(q, k, v, heads):
+    """Multi-head attention with explicit head split, q k^T, softmax and merge."""
+    d = q.shape[2] // heads
+
+    def to_heads(x):
+        b, t, c = x.shape
+        return T.transpose(T.reshape(x, (b, t, heads, d)), (0, 2, 1, 3))
+
+    att = T.softmax((to_heads(q) @ T.transpose(to_heads(k), (0, 1, 3, 2))) * float(d**-0.5), axis=-1)
+    return T.reshape(T.transpose(att @ to_heads(v), (0, 2, 1, 3)), q.shape)

@@ -132,6 +132,34 @@ def test_train_unknown_config_key_is_input_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("image_side", '"x"'),
+        ("drop_rate", '"0.1"'),
+        ("patch_size", "true"),
+        ("seed", "1.5"),
+        ("learning_rate", "null"),
+        ("enhancer_bidirectional", "1"),
+        ("pool", "3"),
+    ],
+)
+def test_train_wrong_config_type_is_input_error(name, value, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(f'{{"{name}": {value}}}\n')
+    code = run(["train", "--manifest", str(tmp_path / "manifest.jsonl"),
+                "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
+def test_eval_directory_as_checkpoint_is_input_error(eval_inputs, tmp_path, capsys):
+    code = run(["eval", "--manifest", str(eval_inputs[0]), "--checkpoint", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_is_numerical_failure(tmp_path):
     data = tmp_path / "data"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -263,3 +266,56 @@ def test_freeze_blocks_grads_and_updates(rng):
     assert model.params["body_embed.weight"].grad is not None
     with pytest.raises(InputError):
         model.freeze("nonexistent_prefix")
+
+
+def test_training_thread_and_inferring_thread_share_weights(rng):
+    # one thread trains under a tape while another infers untaped on the
+    # same weights; neither sees the other's tape
+    cfg = micro_config()
+    model = FaceBodyModel(cfg)
+    faces = crops(rng, cfg, 2)
+    bodies = crops(rng, cfg, 2)
+
+    def train_step():
+        with Tape() as tape:
+            logits, age = model.forward_batch(faces, bodies)
+            loss = combined_loss(
+                weighted_mse(age, np.array([0.2, 0.8]), np.ones(2)), gender_loss(logits, [0, 1]), 0.03
+            )
+            model.zero_grads()
+            tape.backward(loss)
+        return {name: p.grad.copy() for name, p in model.params.items()}
+
+    want_logits, want_age = model.forward_batch(faces, bodies)
+    want_grads = train_step()
+    inferred, trained = [], []
+    start = threading.Barrier(2, timeout=30)
+
+    def infer():
+        start.wait()
+        for _ in range(20):
+            inferred.append(model.forward_batch(faces, bodies))
+
+    def trainer():
+        start.wait()
+        for _ in range(5):
+            trained.append(train_step())
+
+    threads = [threading.Thread(target=infer), threading.Thread(target=trainer)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inferred) == 20 and len(trained) == 5
+    for logits, age in inferred:
+        assert not logits.requires_grad and not age.requires_grad
+        assert logits.data.tobytes() == want_logits.data.tobytes()
+        assert age.data.tobytes() == want_age.data.tobytes()
+    for grads in trained:
+        assert all(grads[name].tobytes() == want_grads[name].tobytes() for name in want_grads)

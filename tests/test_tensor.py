@@ -1,5 +1,10 @@
+import threading
+from functools import partial
+
 import numpy as np
 import pytest
+
+from oracles import attention_oracle, linear_oracle, outlook_attention_oracle
 
 from agegender import Tape, Tensor, constant, parameter
 from agegender.errors import DimensionError, NumericalError, TapeError
@@ -235,6 +240,112 @@ def test_unfold_fold_grads():
 
 
 # ---------------------------------------------------------------------------
+# fused layers vs the generic-op composites they replace
+
+
+def _outlook(k, heads):
+    return partial(T.outlook_attention, k=k, heads=heads), partial(outlook_attention_oracle, k=k, heads=heads)
+
+
+def _attention(heads):
+    return partial(T.attention, heads=heads), partial(attention_oracle, heads=heads)
+
+
+# name: (fused op, oracle, input shapes)
+FUSED = {
+    "linear_2d": (T.linear, linear_oracle, [(5, 4), (4, 3), (3,)]),
+    "linear_4d": (T.linear, linear_oracle, [(2, 3, 5, 4), (4, 3), (3,)]),
+    "outlook_1_head": (*_outlook(3, 1), [(2, 5, 4, 81), (2, 5, 4, 6)]),
+    "outlook_2_heads": (*_outlook(3, 2), [(2, 4, 5, 162), (2, 4, 5, 8)]),
+    "outlook_k5": (*_outlook(5, 1), [(1, 5, 6, 625), (1, 5, 6, 3)]),
+    "attention_4_heads": (*_attention(4), [(2, 6, 8)] * 3),
+    # queries from one sequence, keys and values from another, as in the
+    # enhancer; the lengths differ here too
+    "attention_cross": (*_attention(2), [(2, 3, 8), (2, 7, 8), (2, 7, 8)]),
+}
+
+
+def _fused_inputs(case, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape) for shape in FUSED[case][2]], rng
+
+
+def _taped_run(fn, arrays, weight):
+    inputs = [parameter(a.copy()) for a in arrays]
+    with Tape() as tape:
+        out = fn(*inputs)
+        tape.backward((out * constant(weight)).sum())
+    return out, inputs
+
+
+@pytest.mark.parametrize("case", sorted(FUSED))
+def test_fused_op_is_bitwise_its_composite(case):
+    fused, oracle, _ = FUSED[case]
+    arrays, rng = _fused_inputs(case, 20)
+    weight = rng.standard_normal(oracle(*map(constant, arrays)).shape)
+    got, got_inputs = _taped_run(fused, arrays, weight)
+    want, want_inputs = _taped_run(oracle, arrays, weight)
+    assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+    for g, w in zip(got_inputs, want_inputs):
+        assert g.grad.shape == w.grad.shape and g.grad.tobytes() == w.grad.tobytes()
+
+
+# k=5 puts 25-wide softmax rows in the logits' gradient, and some entries
+# sit near 1e-8, where central differences carry their noise floor (one
+# ulp of the loss over 2h); that case is held to its composite bitwise
+@pytest.mark.parametrize("case", sorted(set(FUSED) - {"outlook_k5"}))
+def test_fused_op_grads_match_finite_differences(case):
+    fused = FUSED[case][0]
+    arrays, rng = _fused_inputs(case, 21)
+    inputs = {f"input{i}": parameter(a) for i, a in enumerate(arrays)}
+    weight = constant(rng.standard_normal(fused(*inputs.values()).shape))
+    fd_check(lambda: (fused(*inputs.values()) * weight).sum(), inputs, tol=1e-4)
+
+
+@pytest.mark.parametrize("case", sorted(FUSED))
+def test_fused_op_is_one_node_and_skips_inputs_without_grad(case):
+    fused = FUSED[case][0]
+    arrays, rng = _fused_inputs(case, 22)
+    for tracked in range(len(arrays)):
+        inputs = [parameter(a) if i == tracked else constant(a) for i, a in enumerate(arrays)]
+        with Tape() as tape:
+            out = fused(*inputs)
+        (node,) = tape._nodes
+        grads = node.backward(rng.standard_normal(out.shape))
+        assert [g is not None for g in grads] == [i == tracked for i in range(len(arrays))]
+        assert grads[tracked].shape == arrays[tracked].shape
+
+
+@pytest.mark.parametrize("case", sorted(FUSED))
+def test_fused_op_writes_no_input_buffer(case):
+    fused = FUSED[case][0]
+    arrays, rng = _fused_inputs(case, 23)
+    inputs = [parameter(a) for a in arrays]
+    before = [a.tobytes() for a in arrays]
+    with Tape() as tape:
+        out = fused(*inputs)
+    out_before = out.data.tobytes()
+    g = rng.standard_normal(out.shape)
+    g_before = g.tobytes()
+    tape._nodes[0].backward(g)
+    assert [t.data.tobytes() for t in inputs] == before
+    assert out.data.tobytes() == out_before and g.tobytes() == g_before
+
+
+def test_fused_op_shape_errors():
+    with pytest.raises(DimensionError):
+        T.linear(constant(np.zeros((2, 4))), constant(np.zeros((3, 5))), constant(np.zeros(5)))
+    with pytest.raises(DimensionError):
+        T.outlook_attention(constant(np.zeros((1, 4, 4, 80))), constant(np.zeros((1, 4, 4, 2))), 3, 1)
+    with pytest.raises(DimensionError):
+        T.outlook_attention(constant(np.zeros((1, 4, 4, 16))), constant(np.zeros((1, 4, 4, 2))), 2, 1)
+    with pytest.raises(DimensionError):
+        T.attention(constant(np.zeros((1, 3, 8))), constant(np.zeros((1, 4, 6))), constant(np.zeros((1, 4, 6))), 2)
+    with pytest.raises(DimensionError):
+        T.attention(constant(np.zeros((1, 3, 6))), constant(np.zeros((1, 4, 6))), constant(np.zeros((1, 4, 6))), 4)
+
+
+# ---------------------------------------------------------------------------
 # tape & backward semantics
 
 
@@ -285,6 +396,34 @@ def test_tapes_do_not_nest():
         with pytest.raises(TapeError):
             with Tape():
                 pass
+
+
+def test_each_thread_has_its_own_tape():
+    # a second thread can open a tape while this one holds one, and ops on
+    # either thread record only onto their own thread's tape
+    x = parameter([3.0])
+    y = parameter([2.0])
+    errors = []
+
+    def worker():
+        try:
+            with Tape() as tape:
+                tape.backward((y * y).sum())
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    with Tape() as tape:
+        loss = (x * x).sum()
+        n = len(tape)
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert len(tape) == n
+        tape.backward(loss)
+    assert errors == []
+    np.testing.assert_array_equal(x.grad, [6.0])
+    np.testing.assert_array_equal(y.grad, [4.0])
 
 
 def test_no_tape_means_no_tracking():
