@@ -67,7 +67,14 @@ def cmd_pair(args):
         image_path = entry["image"]
         resolved = image_path if os.path.isabs(image_path) else os.path.join(root, image_path)
         image = load_image(resolved)
+        height, width = image.shape[:2]
         dets = entry["detections"]
+        for k, d in enumerate(dets):
+            b = d.bbox
+            if max(b.x0, 0) >= min(b.x1, width) or max(b.y0, 0) >= min(b.y1, height):
+                raise InputError(
+                    f"{image_path}: detection {k} {b.as_list()} has no pixel in the {width}x{height} image"
+                )
         face_idx = [i for i, d in enumerate(dets) if d.kind == "face"]
         person_idx = [i for i, d in enumerate(dets) if d.kind == "person"]
         result = assign([dets[i].bbox for i in face_idx], [dets[j].bbox for j in person_idx])

@@ -9,6 +9,7 @@ and channel dominance encodes gender. A test fixture, nothing more.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -58,11 +59,13 @@ def read_ppm(path):
         w, h, maxval = (int(f) for f in fields)
     except ValueError as exc:
         raise InputError(f"{path}: bad PPM header") from exc
+    if w < 0 or h < 0:
+        raise InputError(f"{path}: bad PPM size {w}x{h}")
     if maxval != 255:
         raise InputError(f"{path}: only maxval 255 is supported, got {maxval}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
-    if pixels.size != w * h * 3:
+    if len(blob) - pos < w * h * 3:
         raise InputError(f"{path}: truncated pixel data")
+    pixels = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
     return pixels.reshape(h, w, 3).astype(np.float64) / 255.0
 
 
@@ -89,15 +92,29 @@ def _write_ndjson(path, rows):
 def _read_ndjson(path):
     rows = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{line_no}: bad record: {exc}") from exc
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rows.append(json.loads(line))
+                except (ValueError, RecursionError) as exc:
+                    raise InputError(f"{path}:{line_no}: bad record: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not a text file: {exc}") from exc
     return rows
+
+
+def _finite(value, what, path, line):
+    """`value` as a finite float, or InputError naming `path:line`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise InputError(f"{path}:{line}: {what} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass
@@ -161,22 +178,41 @@ def read_sample_manifest(path):
     return records
 
 
+def _detection(d, where):
+    if not isinstance(d, dict):
+        raise InputError(f"{where}: a detection must be an object, got {d!r}")
+    try:
+        return Detection(
+            bbox=BBox(int(d["x0"]), int(d["y0"]), int(d["x1"]), int(d["y1"])),
+            kind=d["kind"],
+            score=float(d.get("score", 1.0)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
+        raise InputError(f"{where}: bad detection {d!r}: {exc}") from exc
+
+
 def read_detection_manifest(path):
-    """[{image, detections: [Detection, ...]}, ...]"""
+    """[{image, detections: [Detection, ...]}, ...]
+
+    A row that is not an object, lacks a field, has a non-string image or a
+    non-list detections value, or holds a detection that is not an object
+    with coordinates that convert to integers, a known kind and a score in
+    [0, 1] raises InputError naming `path:line`.
+    """
     out = []
     for i, row in enumerate(_read_ndjson(path), 1):
+        where = f"{path}:{i}"
         try:
-            dets = [
-                Detection(
-                    bbox=BBox(int(d["x0"]), int(d["y0"]), int(d["x1"]), int(d["y1"])),
-                    kind=d["kind"],
-                    score=float(d.get("score", 1.0)),
-                )
-                for d in row["detections"]
-            ]
-            out.append({"image": row["image"], "detections": dets})
+            if not isinstance(row, dict):
+                raise InputError(f"{where}: a row must be an object, got {row!r}")
+            image, dets = row["image"], row["detections"]
+            if not isinstance(image, str) or not image or "\0" in image:
+                raise InputError(f"{where}: image must be a file name, got {image!r}")
+            if not isinstance(dets, list):
+                raise InputError(f"{where}: detections must be a list, got {dets!r}")
+            out.append({"image": image, "detections": [_detection(d, where) for d in dets]})
         except KeyError as exc:
-            raise InputError(f"{path}:{i}: missing field {exc}") from exc
+            raise InputError(f"{where}: missing field {exc}") from exc
     return out
 
 
@@ -207,19 +243,27 @@ def write_pair_manifest(path, rows):
 
 
 def read_votes_file(path):
+    """[{task, user, age, gender}, ...]; an age is a finite number or null
+    (no age vote), else InputError naming `path:line`."""
     rows = _read_ndjson(path)
     for i, row in enumerate(rows, 1):
-        if "task" not in row or "user" not in row:
+        if not isinstance(row, dict) or "task" not in row or "user" not in row:
             raise InputError(f"{path}:{i}: vote rows need task and user fields")
+        if row.get("age") is not None:
+            _finite(row["age"], "age", path, i)
     return rows
 
 
 def read_controls_file(path):
-    """{user: [(voted, truth), ...]}"""
+    """{user: [(voted, truth), ...]}; voted and truth are finite numbers,
+    else InputError naming `path:line`."""
     answers = {}
     for i, row in enumerate(_read_ndjson(path), 1):
+        if not isinstance(row, dict):
+            raise InputError(f"{path}:{i}: control rows must be objects, got {row!r}")
         try:
-            answers.setdefault(str(row["user"]), []).append((float(row["voted"]), float(row["truth"])))
+            answer = (_finite(row["voted"], "voted", path, i), _finite(row["truth"], "truth", path, i))
+            answers.setdefault(str(row["user"]), []).append(answer)
         except KeyError as exc:
             raise InputError(f"{path}:{i}: missing field {exc}") from exc
     return answers

@@ -49,7 +49,8 @@ def detach_objects(body: BBox, crop, others, fill=CHANNEL_MEAN):
 
 
 def filled_mask(crop, fill=CHANNEL_MEAN):
-    return np.all(crop == fill, axis=-1)
+    eq = crop == fill
+    return eq[..., 0] & eq[..., 1] & eq[..., 2]
 
 
 def trim(crop, fill=CHANNEL_MEAN, threshold=TRIM_THRESHOLD):
@@ -59,23 +60,32 @@ def trim(crop, fill=CHANNEL_MEAN, threshold=TRIM_THRESHOLD):
     fraction is >= threshold, until none qualifies (which makes the
     operation idempotent). Returns (trimmed, (off_x, off_y)); a fully
     trimmed crop returns (None, None).
+
+    Cost: one O(h*w) pass for the mask and its row and column prefix
+    sums, then O(1) per border test. Each fraction is count / length in
+    float64, the value `mask[...].mean()` gives, so the same lines go.
     """
     mask = filled_mask(crop, fill)
     y0, x0 = 0, 0
     y1, x1 = mask.shape
+    # row_sum[y, x]: filled pixels of row y in [0, x); col_sum[y, x]: of column x in [0, y)
+    row_sum = np.zeros((y1, x1 + 1), dtype=np.int64)
+    np.cumsum(mask, axis=1, out=row_sum[:, 1:])
+    col_sum = np.zeros((y1 + 1, x1), dtype=np.int64)
+    np.cumsum(mask, axis=0, out=col_sum[1:])
     changed = True
     while changed and y1 > y0 and x1 > x0:
         changed = False
-        if y1 > y0 and mask[y0, x0:x1].mean() >= threshold:
+        if y1 > y0 and (row_sum[y0, x1] - row_sum[y0, x0]) / (x1 - x0) >= threshold:
             y0 += 1
             changed = True
-        if y1 > y0 and mask[y1 - 1, x0:x1].mean() >= threshold:
+        if y1 > y0 and (row_sum[y1 - 1, x1] - row_sum[y1 - 1, x0]) / (x1 - x0) >= threshold:
             y1 -= 1
             changed = True
-        if x1 > x0 and y1 > y0 and mask[y0:y1, x0].mean() >= threshold:
+        if x1 > x0 and y1 > y0 and (col_sum[y1, x0] - col_sum[y0, x0]) / (y1 - y0) >= threshold:
             x0 += 1
             changed = True
-        if x1 > x0 and y1 > y0 and mask[y0:y1, x1 - 1].mean() >= threshold:
+        if x1 > x0 and y1 > y0 and (col_sum[y1, x1 - 1] - col_sum[y0, x1 - 1]) / (y1 - y0) >= threshold:
             x1 -= 1
             changed = True
     if y1 <= y0 or x1 <= x0:

@@ -10,13 +10,14 @@ The classical baseline aggregators are here too, for comparison runs.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 MAE_FLOOR = 0.5
 GENDER_MIN_FREQUENCY = 0.75
@@ -205,10 +206,13 @@ def score_users(control_answers):
         if not answers:
             raise InputError(f"user {user_id}: no control answers")
         errors = np.array([abs(v - t) for v, t in answers], dtype=np.float64)
+        mae = float(errors.mean())
+        if not math.isfinite(mae):
+            raise NumericalError(f"user {user_id}: control MAE is not finite")
         stats.append(
             UserStat(
                 user_id=str(user_id),
-                mae=float(errors.mean()),
+                mae=mae,
                 cs3=float((errors <= 3.0).mean() * 100.0),
                 control_count=len(answers),
             )
@@ -232,6 +236,8 @@ def aggregate_tasks(records, user_stats, method="weighted_mean"):
                 out["age"] = weighted_mean_age(votes, maes)
             else:
                 out["age"] = baseline_aggregate(votes, method)
+            if not math.isfinite(out["age"]):
+                raise NumericalError(f"task {record.task_id}: aggregated age is not finite")
         if record.gender_votes:
             out["gender"] = aggregate_gender([g for _, g in record.gender_votes])
         results.append(out)

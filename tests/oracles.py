@@ -127,3 +127,29 @@ def attention_oracle(q, k, v, heads):
 
     att = T.softmax((to_heads(q) @ T.transpose(to_heads(k), (0, 1, 3, 2))) * float(d**-0.5), axis=-1)
     return T.reshape(T.transpose(att @ to_heads(v), (0, 2, 1, 3)), q.shape)
+
+
+def trim_oracle(crop, fill, threshold):
+    """Border trimming that re-reduces each outermost row/column of the
+    filled mask with `mean` every time it peels one line."""
+    mask = np.all(crop == fill, axis=-1)
+    y0, x0 = 0, 0
+    y1, x1 = mask.shape
+    changed = True
+    while changed and y1 > y0 and x1 > x0:
+        changed = False
+        if y1 > y0 and mask[y0, x0:x1].mean() >= threshold:
+            y0 += 1
+            changed = True
+        if y1 > y0 and mask[y1 - 1, x0:x1].mean() >= threshold:
+            y1 -= 1
+            changed = True
+        if x1 > x0 and y1 > y0 and mask[y0:y1, x0].mean() >= threshold:
+            x0 += 1
+            changed = True
+        if x1 > x0 and y1 > y0 and mask[y0:y1, x1 - 1].mean() >= threshold:
+            x1 -= 1
+            changed = True
+    if y1 <= y0 or x1 <= x0:
+        return None, None
+    return crop[y0:y1, x0:x1].copy(), (x0, y0)

@@ -198,6 +198,143 @@ def test_pair_command(tmp_path):
     assert 20 <= x0 < x1 <= 80 and 5 <= y0 < y1 <= 115
 
 
+PAIR_SCENE = {
+    "image": "scene.ppm",
+    "detections": [
+        {"kind": "face", "x0": 30, "y0": 10, "x1": 50, "y1": 30, "score": 0.9},
+        {"kind": "person", "x0": 20, "y0": 5, "x1": 70, "y1": 60, "score": 0.8},
+    ],
+}
+
+
+def _with_detection(**fields):
+    return [{**PAIR_SCENE, "detections": [{**PAIR_SCENE["detections"][0], **fields}]}]
+
+
+MALFORMED_DETECTIONS = {
+    "coordinate_text": (_with_detection(x0="a"), "detections.jsonl:1"),
+    "coordinate_null": (_with_detection(x0=None), "detections.jsonl:1"),
+    "coordinate_infinity": (_with_detection(x1=float("inf")), "detections.jsonl:1"),
+    "score_text": (_with_detection(score="x"), "detections.jsonl:1"),
+    "row_is_list": ([PAIR_SCENE, [1, 2]], "detections.jsonl:2"),
+    "detections_number": ([{**PAIR_SCENE, "detections": 5}], "detections.jsonl:1"),
+    "detection_number": ([{**PAIR_SCENE, "detections": [5]}], "detections.jsonl:1"),
+    "image_number": ([{**PAIR_SCENE, "image": 5}], "detections.jsonl:1"),
+    "image_with_nul": ([{**PAIR_SCENE, "image": "scene\u0000.ppm"}], "detections.jsonl:1"),
+    "face_outside_image": (_with_detection(x0=200, y0=200, x1=210, y1=210), "scene.ppm: detection 0"),
+    "person_left_of_image": ([{**PAIR_SCENE, "detections": PAIR_SCENE["detections"] + [
+        {"kind": "person", "x0": -30, "y0": 0, "x1": 0, "y1": 40}]}], "scene.ppm: detection 2"),
+}
+
+
+def _pair_code(tmp_path, rows, ppm):
+    (tmp_path / "scene.ppm").write_bytes(ppm)
+    det_path = tmp_path / "detections.jsonl"
+    det_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return run(["pair", "--detections", str(det_path), "--out", str(tmp_path / "pairs.jsonl")])
+
+
+def _scene_ppm(tmp_path):
+    path = tmp_path / "source.ppm"
+    write_ppm(path, np.random.default_rng(0).random((60, 80, 3)))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DETECTIONS))
+def test_pair_malformed_detections_is_input_error(case, tmp_path, capsys):
+    rows, where = MALFORMED_DETECTIONS[case]
+    assert _pair_code(tmp_path, rows, _scene_ppm(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
+MALFORMED_PPMS = {
+    "promises_more_pixels": lambda blob: blob.replace(b"80 60", b"80 61", 1),
+    "truncated_payload": lambda blob: blob[:-1],
+    "zero_by_zero": lambda blob: b"P6\n0 0\n255\n",
+    "negative_size": lambda blob: blob.replace(b"80 60", b"-80 -60", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PPMS))
+def test_pair_malformed_ppm_is_input_error(case, tmp_path, capsys):
+    assert _pair_code(tmp_path, [PAIR_SCENE], MALFORMED_PPMS[case](_scene_ppm(tmp_path))) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _aggregate_code(tmp_path, votes, controls):
+    paths = {}
+    for name, rows in (("votes", votes), ("controls", controls)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return run(["aggregate", "--votes", str(paths["votes"]), "--controls", str(paths["controls"]),
+                "--out", str(tmp_path / "aggregated.jsonl"), "--user-report", str(tmp_path / "users.jsonl")])
+
+
+VOTES = [{"task": "t1", "user": "u1", "age": 30, "gender": "male"},
+         {"task": "t1", "user": "u2", "age": 34, "gender": "male"}]
+CONTROLS = [{"user": "u1", "voted": 30, "truth": 30}, {"user": "u2", "voted": 30, "truth": 33}]
+
+
+BAD_NUMBERS = {
+    "age_nan": (VOTES[:1] + [{**VOTES[1], "age": float("nan")}], CONTROLS, "votes.jsonl:2"),
+    "age_infinity": ([{**VOTES[0], "age": float("inf")}], CONTROLS, "votes.jsonl:1"),
+    "age_text": ([{**VOTES[0], "age": "x"}], CONTROLS, "votes.jsonl:1"),
+    "age_list": ([{**VOTES[0], "age": [30]}], CONTROLS, "votes.jsonl:1"),
+    "vote_row_number": (VOTES + [5], CONTROLS, "votes.jsonl:3"),
+    "voted_nan": (VOTES, [{**CONTROLS[0], "voted": float("nan")}, CONTROLS[1]], "controls.jsonl:1"),
+    "voted_text": (VOTES, [CONTROLS[0], {**CONTROLS[1], "voted": "x"}], "controls.jsonl:2"),
+    "truth_null": (VOTES, [{**CONTROLS[0], "truth": None}, CONTROLS[1]], "controls.jsonl:1"),
+    "control_row_list": (VOTES, CONTROLS + [[1, 2]], "controls.jsonl:3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_aggregate_bad_numbers_are_input_errors(case, tmp_path, capsys):
+    votes, controls, where = BAD_NUMBERS[case]
+    assert _aggregate_code(tmp_path, votes, controls) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+UNREADABLE_VOTES = {
+    "not_utf8": b"\xff\xfe\x00\n",
+    "deep_nesting": b"[" * 100_000 + b"\n",
+    "int_too_long": b'{"task": "t1", "user": "u1", "age": ' + b"9" * 5000 + b"}\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_VOTES))
+def test_aggregate_unreadable_votes_is_input_error(case, tmp_path, capsys):
+    votes = tmp_path / "votes.jsonl"
+    votes.write_bytes(UNREADABLE_VOTES[case])
+    assert run(["aggregate", "--votes", str(votes), "--method", "median", "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "votes.jsonl" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "votes,controls",
+    [
+        ([{**VOTES[0], "age": 1e308}], CONTROLS),  # times the weight e^2
+        (VOTES, [{**CONTROLS[0], "voted": 1e308, "truth": -1e308}, CONTROLS[1]]),
+    ],
+    ids=["weighted_age", "control_error"],
+)
+def test_aggregate_overflow_is_numerical_failure(votes, controls, tmp_path, capsys):
+    assert _aggregate_code(tmp_path, votes, controls) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_aggregate_null_age_is_no_vote(tmp_path):
+    votes = VOTES + [{"task": "t1", "user": "u3", "age": None, "gender": "male"}]
+    assert _aggregate_code(tmp_path, votes, CONTROLS) == 0
+    row = json.loads((tmp_path / "aggregated.jsonl").read_text())
+    assert row["gender"] == "male" and 30.0 < row["age"] < 34.0
+
+
 def test_aggregate_command(tmp_path):
     votes = tmp_path / "votes.jsonl"
     with open(votes, "w") as fh:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import trim_oracle
+
 from agegender.errors import InputError
 from agegender.pairing import BBox, Detection
 from agegender.preprocess import (
@@ -120,6 +122,50 @@ def test_trim_idempotent_on_random_masks():
         second, offset2 = trim(first)
         assert second is not None and offset2 == (0, 0)
         np.testing.assert_array_equal(first, second)
+
+
+def _border_case(rng, threshold, h, w, case):
+    """A random crop whose filled pixels form a random mask, bands along the
+    borders (some just under or over the threshold), pixels matching the
+    fill in only some channels, or the whole crop."""
+    crop = random_image(rng, h, w)
+    if case % 40 == 0:
+        crop[:] = CHANNEL_MEAN
+        return crop
+    mask = rng.random((h, w)) < rng.uniform(0.0, 0.7)
+    for side in range(4):
+        if rng.random() < 0.5:
+            continue
+        band = rng.random(mask.shape) < threshold + rng.choice([-0.02, 0.0, 0.02])
+        depth = int(rng.integers(1, (h if side < 2 else w) + 1))
+        if side == 0:
+            mask[:depth] |= band[:depth]
+        elif side == 1:
+            mask[h - depth:] |= band[h - depth:]
+        elif side == 2:
+            mask[:, :depth] |= band[:, :depth]
+        else:
+            mask[:, w - depth:] |= band[:, w - depth:]
+    crop[mask] = CHANNEL_MEAN
+    partial = rng.random((h, w)) < 0.05
+    crop[partial] = np.where(rng.random((int(partial.sum()), 3)) < 0.5, CHANNEL_MEAN, crop[partial])
+    return crop
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.9, 0.95, 1.0])
+def test_trim_matches_oracle_on_random_crops(threshold):
+    rng = np.random.default_rng([7, int(threshold * 100)])
+    for case in range(520):
+        h = 1 if case % 13 == 0 else int(rng.integers(1, 61))
+        w = 1 if case % 13 == 1 else int(rng.integers(1, 61))
+        crop = _border_case(rng, threshold, h, w, case)
+        got, offset = trim(crop, threshold=threshold)
+        want, want_offset = trim_oracle(crop, CHANNEL_MEAN, threshold)
+        assert offset == want_offset
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
