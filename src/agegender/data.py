@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,12 +71,27 @@ def read_ppm(path):
 
 
 def load_image(path):
-    """PPM or raw .npy tensor, as float [H, W, 3] in [0, 1]."""
+    """PPM or raw .npy tensor, as float [H, W, 3] in [0, 1].
+
+    A .npy file that NumPy cannot load without pickling, or whose array is
+    not [H, W, 3], not real (bool, integer or float) or not finite, raises
+    InputError naming the path.
+    """
     if str(path).endswith(".npy"):
-        arr = np.load(path)
+        try:
+            arr = np.load(path)
+        except (ValueError, EOFError) as exc:
+            raise InputError(f"{path}: not a NumPy array file: {exc}") from exc
+        if not isinstance(arr, np.ndarray):  # an .npz archive
+            raise InputError(f"{path}: not a NumPy array file")
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise InputError(f"{path}: raw tensor must be [H, W, 3], got {arr.shape}")
-        return arr.astype(np.float64)
+        if arr.dtype.kind not in "biuf":
+            raise InputError(f"{path}: raw tensor must hold real numbers, got dtype {arr.dtype}")
+        image = arr.astype(np.float64)
+        if not np.isfinite(image).all():
+            raise InputError(f"{path}: raw tensor holds a non-finite value")
+        return image
     return read_ppm(path)
 
 
@@ -89,8 +105,22 @@ def _write_ndjson(path, rows):
             fh.write(json.dumps(row) + "\n")
 
 
+# one decoder for every line: `json.loads` wraps the same `raw_decode`
+_DECODER = json.JSONDecoder()
+
+
 def _read_ndjson(path):
-    rows = []
+    """(line number, row) pairs for the non-blank lines of `path`, to be
+    iterated once.
+
+    Each stripped line is decoded exactly as `json.loads` would decode it:
+    one value and nothing after it, else InputError naming `path:line`.
+    The pairs are zipped from an array of line numbers and the row list
+    rather than stored as tuples, so a large file costs 8 bytes a line
+    and adds no objects for the garbage collector to scan.
+    """
+    decode = _DECODER.raw_decode
+    line_nos, rows = array("q"), []
     with open(path) as fh:
         try:
             for line_no, line in enumerate(fh, 1):
@@ -98,12 +128,16 @@ def _read_ndjson(path):
                 if not line:
                     continue
                 try:
-                    rows.append(json.loads(line))
+                    row, end = decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
                 except (ValueError, RecursionError) as exc:
                     raise InputError(f"{path}:{line_no}: bad record: {exc}") from exc
+                line_nos.append(line_no)
+                rows.append(row)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not a text file: {exc}") from exc
-    return rows
+    return zip(line_nos, rows)
 
 
 def _finite(value, what, path, line):
@@ -160,7 +194,7 @@ def write_sample_manifest(path, records):
 
 def read_sample_manifest(path):
     records = []
-    for i, row in enumerate(_read_ndjson(path), 1):
+    for i, row in _read_ndjson(path):
         try:
             records.append(
                 SampleRecord(
@@ -200,7 +234,7 @@ def read_detection_manifest(path):
     [0, 1] raises InputError naming `path:line`.
     """
     out = []
-    for i, row in enumerate(_read_ndjson(path), 1):
+    for i, row in _read_ndjson(path):
         where = f"{path}:{i}"
         try:
             if not isinstance(row, dict):
@@ -245,12 +279,13 @@ def write_pair_manifest(path, rows):
 def read_votes_file(path):
     """[{task, user, age, gender}, ...]; an age is a finite number or null
     (no age vote), else InputError naming `path:line`."""
-    rows = _read_ndjson(path)
-    for i, row in enumerate(rows, 1):
+    rows = []
+    for i, row in _read_ndjson(path):
         if not isinstance(row, dict) or "task" not in row or "user" not in row:
             raise InputError(f"{path}:{i}: vote rows need task and user fields")
         if row.get("age") is not None:
             _finite(row["age"], "age", path, i)
+        rows.append(row)
     return rows
 
 
@@ -258,7 +293,7 @@ def read_controls_file(path):
     """{user: [(voted, truth), ...]}; voted and truth are finite numbers,
     else InputError naming `path:line`."""
     answers = {}
-    for i, row in enumerate(_read_ndjson(path), 1):
+    for i, row in _read_ndjson(path):
         if not isinstance(row, dict):
             raise InputError(f"{path}:{i}: control rows must be objects, got {row!r}")
         try:

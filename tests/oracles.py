@@ -2,16 +2,22 @@
 
 These deliberately avoid the package's own code paths: scipy statistics
 where they exist, straight-line transcriptions of the formulas elsewhere.
-The exception is the fused layers of the tensor engine, whose oracles are
-the composites of generic ops (unfold, fold, softmax, matmul, reshape,
-transpose) they replace; those ops have finite-difference tests of their
-own.
+The exceptions are the fused layers of the tensor engine, whose oracles
+are the composites of generic ops (unfold, fold, softmax, matmul, reshape,
+transpose) they replace, which have finite-difference tests of their own;
+and the per-task vote aggregation and full-range KDE grid, kept as the
+references the columnar and windowed versions must equal bit for bit.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 from scipy import stats as sps
 
 from agegender import tensor as T
+from agegender.errors import InputError, NumericalError
+from agegender.votes import GENDERS, MAE_FLOOR, VoteRecord, baseline_aggregate
 
 KDE_BANDWIDTH = 2.0
 KDE_GRID_STEP = 0.1
@@ -153,3 +159,89 @@ def trim_oracle(crop, fill, threshold):
     if y1 <= y0 or x1 <= x0:
         return None, None
     return crop[y0:y1, x0:x1].copy(), (x0, y0)
+
+
+def max_likelihood_oracle(votes, bandwidth=KDE_BANDWIDTH, step=KDE_GRID_STEP):
+    """KDE mode over one grid spanning every vote, whatever the range."""
+    votes = np.asarray(votes, dtype=np.float64)
+    lo = np.ceil((votes.min() - 3 * bandwidth) / step)
+    hi = np.floor((votes.max() + 3 * bandwidth) / step)
+    grid = np.union1d(np.arange(lo, hi + 1) * step, votes)
+    density = np.exp(-((grid[:, None] - votes[None, :]) ** 2) / (2 * bandwidth**2)).sum(axis=1)
+    return float(grid[np.argmax(density)])
+
+
+def weighted_mean_age_oracle(votes, user_maes, mae_floor=MAE_FLOOR):
+    """e^{1/MAE}-weighted mean of one task's votes as a 1-D reduction."""
+    votes = np.asarray(votes, dtype=np.float64)
+    maes = np.asarray(user_maes, dtype=np.float64)
+    if votes.size == 0:
+        raise InputError("weighted_mean_age: no votes")
+    if votes.shape != maes.shape:
+        raise InputError(f"weighted_mean_age: {votes.size} votes vs {maes.size} MAEs")
+    weights = np.exp(1.0 / np.maximum(maes, mae_floor))
+    return float((votes * weights).sum() / weights.sum())
+
+
+def aggregate_gender_oracle(votes, min_frequency=0.75):
+    votes = list(votes)
+    if not votes:
+        raise InputError("aggregate_gender: no votes")
+    for v in votes:
+        if v not in GENDERS:
+            raise InputError(f"unknown gender vote {v!r}")
+    counts = Counter(votes)
+    top = max(counts.values())
+    if top / len(votes) < min_frequency:
+        return "rejected"
+    winners = [g for g, c in counts.items() if c == top]
+    return winners[0] if len(winners) == 1 else "rejected"
+
+
+def collect_vote_records_oracle(rows):
+    """Rows grouped per task, with the duplicate and gender checks made
+    here before any VoteRecord is built."""
+    by_task = {}
+    for row in rows:
+        task = str(row["task"])
+        bucket = by_task.setdefault(task, {"age": [], "gender": []})
+        user = str(row["user"])
+        if row.get("age") is not None:
+            bucket["age"].append((user, float(row["age"])))
+        if row.get("gender") is not None:
+            bucket["gender"].append((user, row["gender"]))
+    for task, bucket in by_task.items():
+        for what in ("age", "gender"):
+            users = [u for u, _ in bucket[what]]
+            if len(users) != len(set(users)):
+                raise InputError(f"task {task}: duplicate {what} votes from one user")
+        for _, g in bucket["gender"]:
+            if g not in GENDERS:
+                raise InputError(f"task {task}: unknown gender vote {g!r}")
+    return [VoteRecord(task_id=t, age_votes=b["age"], gender_votes=b["gender"]) for t, b in by_task.items()]
+
+
+def aggregate_tasks_oracle(records, user_stats, method="weighted_mean"):
+    """Task by task: one weighted mean or baseline call per task."""
+    mae_by_user = {s.user_id: max(s.mae, MAE_FLOOR) for s in user_stats}
+    results = []
+    for record in records:
+        out = {"task": record.task_id, "age": None, "gender": None}
+        if record.age_votes:
+            votes = [v for _, v in record.age_votes]
+            if method == "weighted_mean":
+                missing = [u for u, _ in record.age_votes if u not in mae_by_user]
+                if missing:
+                    raise InputError(f"task {record.task_id}: no control MAE for users {missing}")
+                maes = [mae_by_user[u] for u, _ in record.age_votes]
+                out["age"] = weighted_mean_age_oracle(votes, maes)
+            elif method == "max_likelihood":
+                out["age"] = max_likelihood_oracle(votes)
+            else:
+                out["age"] = baseline_aggregate(votes, method)
+            if not math.isfinite(out["age"]):
+                raise NumericalError(f"task {record.task_id}: aggregated age is not finite")
+        if record.gender_votes:
+            out["gender"] = aggregate_gender_oracle([g for _, g in record.gender_votes])
+        results.append(out)
+    return results

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -328,6 +329,15 @@ def test_aggregate_overflow_is_numerical_failure(votes, controls, tmp_path, caps
     assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aggregate_max_likelihood_overflow_is_numerical_failure(tmp_path, capsys):
+    votes = tmp_path / "votes.jsonl"
+    votes.write_text("".join(json.dumps(row) + "\n" for row in [{**VOTES[0], "age": 1e308}, VOTES[1]]))
+    assert run(["aggregate", "--votes", str(votes), "--method", "max_likelihood",
+                "--out", str(tmp_path / "o.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
 def test_aggregate_null_age_is_no_vote(tmp_path):
     votes = VOTES + [{"task": "t1", "user": "u3", "age": None, "gender": "male"}]
     assert _aggregate_code(tmp_path, votes, CONTROLS) == 0
@@ -371,3 +381,82 @@ def test_aggregate_weighted_without_controls_fails(tmp_path):
 
 def test_gradcheck_command_passes_on_default_config():
     assert run(["gradcheck", "--coords", "1", "--seed", "0"]) == 0
+
+
+# a bad row on file line 4, after two blank lines
+def _blank_lines_before_bad_row(good, bad):
+    return json.dumps(good) + "\n\n  \n" + json.dumps(bad) + "\n"
+
+
+def test_votes_error_names_file_line_after_blank_lines(tmp_path, capsys):
+    (tmp_path / "votes.jsonl").write_text(_blank_lines_before_bad_row(VOTES[0], {**VOTES[1], "age": "x"}))
+    assert run(["aggregate", "--votes", str(tmp_path / "votes.jsonl"), "--method", "median",
+                "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert "votes.jsonl:4: age" in capsys.readouterr().err
+
+
+def test_controls_error_names_file_line_after_blank_lines(tmp_path, capsys):
+    (tmp_path / "votes.jsonl").write_text(json.dumps(VOTES[0]) + "\n")
+    (tmp_path / "controls.jsonl").write_text(_blank_lines_before_bad_row(CONTROLS[0], {"user": "u2", "voted": 3}))
+    assert run(["aggregate", "--votes", str(tmp_path / "votes.jsonl"), "--controls", str(tmp_path / "controls.jsonl"),
+                "--out", str(tmp_path / "o.jsonl")]) == 1
+    assert "controls.jsonl:4: missing field 'truth'" in capsys.readouterr().err
+
+
+def test_detections_error_names_file_line_after_blank_lines(tmp_path, capsys):
+    (tmp_path / "scene.ppm").write_bytes(_scene_ppm(tmp_path))
+    (tmp_path / "detections.jsonl").write_text(_blank_lines_before_bad_row(PAIR_SCENE, _with_detection(x0="a")[0]))
+    assert run(["pair", "--detections", str(tmp_path / "detections.jsonl"), "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert "detections.jsonl:4: bad detection" in capsys.readouterr().err
+
+
+def test_sample_manifest_error_names_file_line_after_blank_lines(tmp_path, capsys):
+    good = {"image": "a.ppm", "face_bbox": [0, 0, 4, 4], "body_bbox": None, "age": 30.0, "gender": "male"}
+    (tmp_path / "manifest.jsonl").write_text(_blank_lines_before_bad_row(good, {**good, "face_bbox": ["x"]}))
+    assert run(["train", "--manifest", str(tmp_path / "manifest.jsonl"), "--out", str(tmp_path / "run")]) == 1
+    assert "manifest.jsonl:4: bad bbox" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aggregate_missing_mae_wins_over_earlier_overflow(tmp_path, capsys):
+    votes = [{**VOTES[0], "age": 1e308}, {"task": "t2", "user": "ghost", "age": 20, "gender": None}]
+    assert _aggregate_code(tmp_path, votes, CONTROLS) == 1
+    assert "task t2: no control MAE for users ['ghost']" in capsys.readouterr().err
+
+
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=True)
+    return buf.getvalue()
+
+
+IMAGE = np.full((60, 80, 3), 0.5)
+MALFORMED_NPY = {
+    "text": b"not an array\n",
+    "truncated": _npy_bytes(IMAGE)[:200],
+    "object_array": _npy_bytes(np.array([[[None, 1, 2]]], dtype=object)),
+    "complex": _npy_bytes(IMAGE + 0.5j),
+    "strings": _npy_bytes(np.full((60, 80, 3), "a")),
+    "all_nan": _npy_bytes(np.full((60, 80, 3), np.nan)),
+    "one_infinity": _npy_bytes(np.where(np.arange(3) == 2, np.inf, IMAGE)),
+    "npz_archive": (lambda buf: (np.savez(buf, image=IMAGE), buf.getvalue())[1])(io.BytesIO()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+def test_pair_malformed_npy_is_input_error(case, tmp_path, capsys):
+    (tmp_path / "img.npy").write_bytes(MALFORMED_NPY[case])
+    det_path = tmp_path / "detections.jsonl"
+    det_path.write_text(json.dumps({**PAIR_SCENE, "image": "img.npy"}) + "\n")
+    assert run(["pair", "--detections", str(det_path), "--out", str(tmp_path / "pairs.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "img.npy" in err
+    assert not (tmp_path / "pairs.jsonl").exists()
+
+
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float32, np.float64])
+def test_pair_accepts_real_npy(dtype, tmp_path):
+    np.save(tmp_path / "img.npy", (IMAGE > 0.2).astype(dtype))
+    det_path = tmp_path / "detections.jsonl"
+    det_path.write_text(json.dumps({**PAIR_SCENE, "image": "img.npy"}) + "\n")
+    assert run(["pair", "--detections", str(det_path), "--out", str(tmp_path / "pairs.jsonl")]) == 0

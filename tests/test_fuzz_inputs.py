@@ -1,7 +1,8 @@
 """Mutated `pair` and `aggregate` inputs through the command line.
 
-Fields and rows of detection manifests, votes and controls, and the header
-and payload length of PPM images, are mutated at random. Every case must
+Fields and rows of detection manifests, votes and controls, the header
+and payload length of PPM images, and the dtype, shape, values and length
+of `.npy` images, are mutated at random. Every case must
 exit 0, 1 or 2 without an exception escaping `cli.main`; a run that exits
 0 must write strict JSON (no NaN or Infinity), and any other exit must
 print its reason.
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -116,6 +118,27 @@ def mutated_ppm(draw, payload):
     return header + (payload[:cut] if cut < 0 else payload + bytes(cut))
 
 
+NPY_DTYPES = ["<f8", ">f8", "<f4", "<f2", np.longdouble, "<i8", "|u1", "|b1", "<c16", "<U2", "<M8[s]", "|V8", "O"]
+NPY_SHAPES = [(SCENE_H, SCENE_W, 3), (SCENE_H, SCENE_W), (SCENE_H, SCENE_W, 4), (2, 2, 3), (0, 0, 3), (), (3,)]
+NPY_VALUES = [0.0, 0.5, 1.0, 2.0, -1.0, 1e308, -1e308, float("inf"), float("-inf"), float("nan")]
+
+
+@st.composite
+def mutated_npy(draw):
+    """A .npy file of any dtype, shape and values (non-finite ones too),
+    sometimes cut short or replaced by text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=16))
+    values = np.array(draw(st.lists(st.sampled_from(NPY_VALUES), min_size=1, max_size=4)))
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        arr = np.resize(values, draw(st.sampled_from(NPY_SHAPES))).astype(draw(st.sampled_from(NPY_DTYPES)))
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=True)
+    blob = buf.getvalue()
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite value {name} in output")
 
@@ -148,13 +171,13 @@ SCENE_PPM = _scene_ppm()
 SCENE_PAYLOAD = SCENE_PPM[-SCENE_W * SCENE_H * 3:]
 
 
-def _pair(detections_text, ppm_blob):
+def _pair(detections_text, image_blob, image_name="scene.ppm"):
     with tempfile.TemporaryDirectory() as work:
         det = os.path.join(work, "detections.jsonl")
         with open(det, "w") as fh:
             fh.write(detections_text)
-        with open(os.path.join(work, "scene.ppm"), "wb") as fh:
-            fh.write(ppm_blob)
+        with open(os.path.join(work, image_name), "wb") as fh:
+            fh.write(image_blob)
         out = os.path.join(work, "pairs.jsonl")
         _run(["pair", "--detections", det, "--out", out], [out])
 
@@ -184,6 +207,12 @@ def test_pair_survives_mutated_detections(text):
 @given(mutated_ppm(SCENE_PAYLOAD))
 def test_pair_survives_mutated_ppm(blob):
     _pair(_ndjson(DETECTIONS), blob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_npy())
+def test_pair_survives_mutated_npy(blob):
+    _pair(_ndjson([{**row, "image": "scene.npy"} for row in DETECTIONS]), blob, "scene.npy")
 
 
 @settings(max_examples=150, deadline=None)

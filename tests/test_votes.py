@@ -1,9 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agegender.errors import InputError
+from agegender.errors import InputError, NumericalError
 from agegender.votes import (
     UserStat,
     VoteRecord,
@@ -224,3 +226,143 @@ def test_weighted_mean_stays_in_hull(votes, maes):
     n = min(len(votes), len(maes))
     got = weighted_mean_age(votes[:n], maes[:n])
     assert min(votes[:n]) - 1e-9 <= got <= max(votes[:n]) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# columnar aggregation vs the per-task oracles
+
+METHODS = ("weighted_mean", "mean", "median", "interquartile_mean", "mode", "max_likelihood",
+           "winsorized_mean", "truncated_mean")
+# zero, below, at and just above the 0.5-year floor, then ordinary errors
+EDGE_MAES = (0.0, 0.25, 0.5, 0.5000000000000001, 0.75)
+
+
+def _user_stats(n_users, rng):
+    maes = [EDGE_MAES[i] if i < len(EDGE_MAES) else float(rng.uniform(0.0, 12.0)) for i in range(n_users)]
+    return [UserStat(f"u{i}", mae, 50.0, 3) for i, mae in enumerate(maes)]
+
+
+def _vote_rows(n_tasks, n_users, rng):
+    """Tasks of 1-15 voters: both kinds of vote, age only or gender only,
+    with null ages and genders mixed in."""
+    rows = []
+    for t in range(n_tasks):
+        kind = rng.choice(["both", "age", "gender"], p=[0.6, 0.2, 0.2])
+        for j, u in enumerate(rng.choice(n_users, int(rng.integers(1, 16)), replace=False)):
+            age = float(rng.uniform(0.0, 100.0))
+            age = round(age) if rng.random() < 0.5 else age  # ties for the mode
+            gender = str(rng.choice(["male", "female"], p=[0.7, 0.3]))
+            if kind == "gender" or (j and rng.random() < 0.15):
+                age = None
+            if kind == "age" or (j and kind == "both" and age is not None and rng.random() < 0.15):
+                gender = None
+            rows.append({"task": f"t{t}", "user": f"u{u}", "age": age, "gender": gender})
+    return rows
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_aggregate_tasks_equals_per_task_oracle(method):
+    from oracles import aggregate_tasks_oracle, collect_vote_records_oracle
+
+    rng = np.random.default_rng(11)
+    rows = _vote_rows(2000, 40, rng)
+    records = collect_vote_records(rows)
+    assert records == collect_vote_records_oracle(rows)
+    counts = {len(r.age_votes) for r in records}
+    assert counts == set(range(0, 16))
+    stats = _user_stats(40, rng)
+    assert aggregate_tasks(records, stats, method) == aggregate_tasks_oracle(records, stats, method)
+
+
+def test_weighted_mean_age_bitwise_equals_oracle():
+    from oracles import weighted_mean_age_oracle
+
+    rng = np.random.default_rng(12)
+    for k in list(range(1, 40)) + [64, 127, 128, 129, 200, 257, 1000]:
+        for _ in range(5):
+            votes = rng.uniform(0.0, 100.0, k)
+            maes = rng.choice([0.0, 0.3, 0.5, 2.0, 11.0], k) + rng.uniform(0.0, 1.0, k)
+            got, want = weighted_mean_age(votes, maes), weighted_mean_age_oracle(votes, maes)
+            assert got.hex() == want.hex(), k
+
+
+def _raised(fn, *args):
+    with pytest.raises((InputError, NumericalError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+GOOD_ROWS = [{"task": "t0", "user": "u1", "age": 30.0, "gender": "male"},
+             {"task": "t1", "user": "u1", "age": 40.0, "gender": "female"},
+             {"task": "t1", "user": "u2", "age": 42.0, "gender": "female"}]
+
+
+@pytest.mark.parametrize("extra", [
+    {"task": "t1", "user": "u2", "age": 44.0, "gender": None},
+    {"task": "t1", "user": "u1", "age": None, "gender": "male"},
+    {"task": "t0", "user": "u2", "age": None, "gender": "robot"},
+], ids=["duplicate_age", "duplicate_gender", "unknown_gender"])
+def test_collect_errors_equal_oracle(extra):
+    from oracles import collect_vote_records_oracle
+
+    rows = GOOD_ROWS + [extra]
+    assert _raised(collect_vote_records, rows) == _raised(collect_vote_records_oracle, rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("extra", [
+    {"task": "t1", "user": "ghost", "age": 44.0, "gender": None},
+    {"task": "t0", "user": "u2", "age": 1e308, "gender": None},
+], ids=["missing_mae", "overflowing_age"])
+def test_aggregate_errors_equal_oracle(extra):
+    from oracles import aggregate_tasks_oracle
+
+    records = collect_vote_records(GOOD_ROWS + [extra])
+    stats = [UserStat("u1", 0.0, 100.0, 1), UserStat("u2", 0.4, 100.0, 1)]  # weights e^2
+    assert _raised(aggregate_tasks, records, stats) == _raised(aggregate_tasks_oracle, records, stats)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_missing_mae_is_reported_before_an_earlier_overflow():
+    # the per-task oracle meets the overflow in t0 first; the columnar path
+    # looks every MAE up before it computes any age
+    records = collect_vote_records(GOOD_ROWS + [{"task": "t0", "user": "u2", "age": 1e308, "gender": None},
+                                                {"task": "t1", "user": "ghost", "age": 44.0, "gender": None}])
+    stats = [UserStat("u1", 0.0, 100.0, 1), UserStat("u2", 0.4, 100.0, 1)]  # weights e^2
+    assert _raised(aggregate_tasks, records, stats) == (
+        InputError, "task t1: no control MAE for users ['ghost']")
+
+
+def test_aggregate_gender_equals_oracle():
+    from oracles import aggregate_gender_oracle
+
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        votes = list(rng.choice(["male", "female"], size=int(rng.integers(1, 16))))
+        frequency = float(rng.choice([0.0, 0.5, 0.6, 0.75, 1.0]))
+        assert aggregate_gender(votes, frequency) == aggregate_gender_oracle(votes, frequency)
+    for votes in ([], ["male", "robot", "x"], [None]):
+        assert _raised(aggregate_gender, votes) == _raised(aggregate_gender_oracle, votes)
+
+
+# ---------------------------------------------------------------------------
+# max_likelihood: windowed grid vs the full-range grid
+
+
+def test_max_likelihood_equals_full_grid_oracle():
+    from oracles import max_likelihood_oracle
+
+    rng = np.random.default_rng(14)
+    for _ in range(1200):
+        n = int(rng.integers(1, 16))
+        spread = float(rng.uniform(5.0, 1000.0))
+        votes = rng.uniform(-50.0, 100.0) + spread * rng.random(n)
+        if rng.random() < 0.5:
+            votes = np.round(votes, 1)
+        assert baseline_aggregate(votes, "max_likelihood") == max_likelihood_oracle(votes)
+
+
+def test_max_likelihood_cost_follows_vote_count_not_range():
+    start = time.perf_counter()
+    assert baseline_aggregate([0.0, 10.0, 1e7], "max_likelihood") == 0.0
+    assert time.perf_counter() - start < 0.5
