@@ -1,7 +1,9 @@
-"""Weight persistence, format `agegender-weights/2`: one JSON header line
+"""Weight persistence, format `agegender-weights/3`: one JSON header line
 (format, full config and its hashes, frozen paths, and `params`, the
 [name, shape] pairs in sorted name order), then each parameter's values as
-raw little-endian float64 in that order, so round trips are bit-exact.
+raw little-endian floats of the config's `dtype` (`<f4` or `<f8`) in that
+order, so round trips are bit-exact. Format 2 (always `<f8`, written
+before configs had a dtype) is refused with a message naming format 3.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ from .errors import InputError
 from .fusion import FaceBodyModel
 from .tensor import Tensor, check_finite
 
-FORMAT = "agegender-weights/2"
-_DTYPE = np.dtype("<f8")
+FORMAT = "agegender-weights/3"
+
+
+def _payload_dtype(config):
+    return np.dtype(config.dtype).newbyteorder("<")
 
 
 def save_checkpoint(path, params, config, frozen=()):
@@ -30,10 +35,11 @@ def save_checkpoint(path, params, config, frozen=()):
         "frozen": sorted(frozen),
         "params": [[name, list(params[name].shape)] for name in names],
     }
+    dtype = _payload_dtype(config)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         for name in names:
-            fh.write(np.asarray(params[name].data, dtype=_DTYPE).tobytes())
+            fh.write(np.asarray(params[name].data, dtype=dtype).tobytes())
 
 
 def _is_param_entry(entry):
@@ -46,7 +52,8 @@ def _is_param_entry(entry):
 
 def load_checkpoint(path):
     """Returns (arrays {name: ndarray}, config, frozen set). The arrays are
-    read-only views of one buffer; a non-finite value raises NumericalError."""
+    read-only views of one buffer, in the config's dtype; a non-finite
+    value raises NumericalError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -74,11 +81,14 @@ def load_checkpoint(path):
         raise InputError(f"{path}: duplicate names in params table")
     if not isinstance(frozen, list) or not all(name in names for name in frozen):
         raise InputError(f"{path}: frozen list missing or naming unknown parameters")
+    dtype = _payload_dtype(config)
     sizes = [math.prod(shape) for _, shape in table]
-    expected = sum(sizes) * _DTYPE.itemsize
+    expected = sum(sizes) * dtype.itemsize
     if len(payload) != expected:
-        raise InputError(f"{path}: payload is {len(payload)} bytes, params table needs {expected}")
-    flat = np.frombuffer(payload, dtype=_DTYPE)
+        raise InputError(
+            f"{path}: payload is {len(payload)} bytes, params table needs {expected} ({config.dtype})"
+        )
+    flat = np.frombuffer(payload, dtype=dtype)
     ends = np.cumsum(sizes)
     arrays = {
         name: check_finite(flat[end - size:end].reshape(shape), f"{path}: {name}")
@@ -114,7 +124,8 @@ def init_from_single_input(face_checkpoint, config, enhancer_seed=None):
 
     The body patch embedding is copied from the face one, the trunk and
     head are copied, the feature enhancer is freshly random, and the face
-    patch embedding is frozen (it is already trained).
+    patch embedding is frozen (it is already trained). Copied weights are
+    cast to the target config's dtype, which may differ from the source's.
     """
     arrays, src_config, _ = load_checkpoint(face_checkpoint)
     if src_config.arch_hash() != config.arch_hash():
@@ -133,6 +144,6 @@ def init_from_single_input(face_checkpoint, config, enhancer_seed=None):
             source = name
         if source not in arrays:
             raise InputError(f"{face_checkpoint}: missing parameter {source}")
-        model.params[name] = Tensor(arrays[source], requires_grad=True)
+        model.params[name] = Tensor(np.asarray(arrays[source], dtype=model.dtype), requires_grad=True)
     model.freeze("face_embed")
     return model

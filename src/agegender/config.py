@@ -4,7 +4,9 @@ Serialization round-trips losslessly (JSON with repr floats) and every
 checkpoint stores the config plus its hash so evaluation cannot drift from
 training. Two hashes matter: `config_hash` covers every field,
 `arch_hash` only the fields that determine parameter shapes, which is what
-checkpoint compatibility actually needs.
+checkpoint compatibility actually needs. `dtype` is the model's compute
+and storage precision; it is not part of `arch_hash`, so weights transfer
+between a float32 and a float64 model.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ _ARCH_FIELDS = (
     "enhancer_bidirectional",
     "pool",
 )
+
+DTYPES = ("float32", "float64")
 
 _PROBABILITY_FIELDS = (
     "drop_rate",
@@ -65,6 +69,8 @@ class ModelConfig:
     # stand-in readout; the exact two-head composition upstream of the
     # 3-vector is underdetermined, so the pooling choice is config-isolated
     pool: str = "mean"
+    # parameters, activations and gradients; AdamW keeps float64 state
+    dtype: str = "float32"
     # age target range (dataset-level, stored in checkpoints)
     y_min: float = 0.0
     y_max: float = 100.0
@@ -133,6 +139,8 @@ class ModelConfig:
             raise ConfigError("stage1_width must be divisible by enhancer_heads")
         if self.pool not in ("mean",):
             raise ConfigError(f"unknown pool mode {self.pool!r}")
+        if self.dtype not in DTYPES:
+            raise ConfigError(f"dtype must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
         grid = self.image_side // self.patch_size
         if grid < self.outlook_window:
             raise ConfigError(

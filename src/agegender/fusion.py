@@ -50,12 +50,13 @@ class CropPair:
     def body_present(self):
         return self.body is not None
 
-    def as_arrays(self, side):
-        """(face, body) arrays with the zero image standing in for absence."""
-        zero = np.zeros((3, side, side))
+    def as_arrays(self, side, dtype=np.float64):
+        """(face, body) arrays in `dtype`, with the zero image standing in
+        for absence."""
+        zero = np.zeros((3, side, side), dtype=dtype)
         face = self.face if self.face_present else zero
         body = self.body if self.body_present else zero
-        return np.asarray(face, dtype=np.float64), np.asarray(body, dtype=np.float64)
+        return np.asarray(face, dtype=dtype), np.asarray(body, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +115,23 @@ class FaceBodyModel:
 
     Two patch embeddings (separate face/body parameter sets) feed the
     feature enhancer, whose fused token grid runs through the VOLO-style
-    trunk into the single joint 3-vector head.
+    trunk into the single joint 3-vector head. Parameters, inputs and
+    activations are all in `config.dtype`.
     """
 
     def __init__(self, config: ModelConfig, rng=None):
         self.config = config
+        self.dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed) if rng is None else rng
         params = {}
         init_patch_embed(params, "face_embed", rng, config)
         init_patch_embed(params, "body_embed", rng, config)
         init_enhancer(params, rng, config)
         init_trunk(params, rng, config)
+        # drawn in float64, so a seed gives the same weights in both dtypes
+        # up to rounding
+        for p in params.values():
+            p.data = p.data.astype(self.dtype, copy=False)
         self.params = params
         self.frozen = set()
 
@@ -152,7 +159,8 @@ class FaceBodyModel:
     def forward_batch(self, faces, bodies, ctx=None, skip=None):
         """Run a batch of (face, body) image pairs.
 
-        faces/bodies: [B, 3, S, S] arrays (zero image where absent).
+        faces/bodies: [B, 3, S, S] arrays (zero image where absent), cast
+        to the model's dtype.
         skip: None, "face" or "body"; the named side is known absent for
         the whole batch and its embedding is substituted by the zero-input
         tokens (the embedding bias, tiled) instead of running the projection.
@@ -164,24 +172,24 @@ class FaceBodyModel:
         if skip == "face":
             face_tokens = zero_input_tokens(self.params, "face_embed", cfg, batch)
         else:
-            face_tokens = patch_embed(
-                self.params, "face_embed", T.constant(np.transpose(faces, (0, 2, 3, 1))), cfg
-            )
+            face_tokens = patch_embed(self.params, "face_embed", self._images(faces), cfg)
         if skip == "body":
             body_tokens = zero_input_tokens(self.params, "body_embed", cfg, batch)
         else:
-            body_tokens = patch_embed(
-                self.params, "body_embed", T.constant(np.transpose(bodies, (0, 2, 3, 1))), cfg
-            )
+            body_tokens = patch_embed(self.params, "body_embed", self._images(bodies), cfg)
         fused = enhance(self.params, face_tokens, body_tokens, cfg)
         g = cfg.grid_side
         grid = T.reshape(fused, (batch, g, g, cfg.stage1_width))
         tokens = trunk_forward(self.params, grid, cfg, ctx)
         return head_forward(self.params, "head", tokens, cfg, ctx)
 
+    def _images(self, images):
+        """[B, 3, S, S] -> channels-last [B, S, S, 3] constant in the model's dtype."""
+        return T.constant(np.transpose(np.asarray(images, dtype=self.dtype), (0, 2, 3, 1)))
+
     def forward_pair(self, pair: CropPair):
         """One pair -> (gender logits [2], normalized age scalar)."""
-        face, body = pair.as_arrays(self.config.image_side)
+        face, body = pair.as_arrays(self.config.image_side, self.dtype)
         logits, age = self.forward_batch(face[None], body[None])
         return logits.data[0].copy(), float(age.data[0])
 
@@ -192,6 +200,6 @@ class FaceBodyModel:
         if pair.face_present and pair.body_present:
             raise InputError("skip path inapplicable: both sides present")
         skip = "face" if not pair.face_present else "body"
-        face, body = pair.as_arrays(self.config.image_side)
+        face, body = pair.as_arrays(self.config.image_side, self.dtype)
         logits, age = self.forward_batch(face[None], body[None], skip=skip)
         return logits.data[0].copy(), float(age.data[0])

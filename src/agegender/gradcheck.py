@@ -7,6 +7,8 @@ floored at 1e-8.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .tensor import Tape
@@ -93,7 +95,8 @@ def check_gradients(build_loss, params, coords_per_param=None, h=DEFAULT_H, rng=
 
 def model_gradcheck(config, coords_per_param=16, h=DEFAULT_H, seed=0, batch=2):
     """End-to-end check: combined training loss vs finite differences over
-    every parameter group of a freshly initialized model.
+    every parameter group of a freshly initialized model, built in float64
+    whatever `config.dtype` says (h=1e-5 is far below float32 resolution).
 
     Age targets sit near the untrained model's own predictions so the loss
     value stays small; that keeps central-difference cancellation noise
@@ -103,7 +106,7 @@ def model_gradcheck(config, coords_per_param=16, h=DEFAULT_H, seed=0, batch=2):
     from .fusion import FaceBodyModel
     from .losses import combined_loss, gender_loss, weighted_mse
 
-    model = FaceBodyModel(config)
+    model = FaceBodyModel(dataclasses.replace(config, dtype="float64"))
     rng = np.random.default_rng(seed)
     side = config.image_side
     faces = rng.random((batch, 3, side, side))

@@ -110,7 +110,8 @@ class LdsWeights:
 
 
 # ---------------------------------------------------------------------------
-# losses (graph-aware: predictions may be Tensors)
+# losses (graph-aware: predictions may be Tensors; targets, weights and
+# one-hots take the predictions' dtype, so no op mixes float32 and float64)
 
 
 def _as_tensor(x):
@@ -119,9 +120,9 @@ def _as_tensor(x):
 
 def weighted_mse(pred_norm, target_norm, weights):
     """mean_i w_i * (pred_i - target_i)^2, as a scalar Tensor."""
-    target = np.asarray(target_norm, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
     pred = _as_tensor(pred_norm)
+    target = np.asarray(target_norm, dtype=pred.data.dtype)
+    w = np.asarray(weights, dtype=pred.data.dtype)
     if pred.shape != target.shape or pred.shape != w.shape:
         raise InputError(
             f"weighted_mse: lengths differ (pred {pred.shape}, target {target.shape}, weights {w.shape})"
@@ -145,7 +146,7 @@ def gender_loss(logits, labels):
     labels = np.asarray(labels, dtype=int)
     if logits.shape != (len(labels), 2):
         raise InputError(f"gender_loss: logits {logits.shape} do not match {len(labels)} labels")
-    onehot = np.zeros((len(labels), 2))
+    onehot = np.zeros((len(labels), 2), dtype=logits.data.dtype)
     onehot[np.arange(len(labels)), labels] = 1.0
     logp = T.log_softmax(logits, axis=-1)
     picked = (logp * T.constant(onehot)).sum(axis=-1)

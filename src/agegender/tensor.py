@@ -1,4 +1,4 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float32/float64 tensors with tape-based reverse-mode differentiation.
 
 Ops record onto the active :class:`Tape` (a context manager). The active
 tape is per thread (a context variable), so an op only ever records onto
@@ -12,33 +12,45 @@ and `attention` (multi-head scaled dot-product attention). Each keeps the
 operand layouts and reduction axes of the generic-op composite it
 replaces, so values and gradients are bitwise those of the composite.
 
-Storage is row-major float64 throughout and structural ops (reshape,
-transpose, concat, narrow) still copy instead of aliasing: correctness
-over speed at desk scale. No op writes into an input buffer.
+Storage is row-major. A float32 or float64 array is kept in its own
+dtype and every other input (lists, ints, bools, float16) becomes float64;
+ops compute in their operands' dtype, so a model whose parameters and
+constants are all float32 runs in float32 end to end. Constants such as
+Python floats never promote (NumPy 2 scalar rules). Structural ops
+(reshape, transpose, concat, narrow) still copy instead of aliasing:
+correctness over speed at desk scale. No op writes into an input buffer.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 
 import numpy as np
 from scipy.special import erf as _erf
 
 from .errors import DimensionError, NumericalError, TapeError
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats: a NumPy float64 scalar would promote float32 arrays
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _ACTIVE_TAPE = contextvars.ContextVar("agegender_active_tape", default=None)
 
 
+def _float_dtype(dtype):
+    """float32 stays float32; any other dtype computes in float64."""
+    return np.float32 if dtype.kind == "f" and dtype.itemsize == 4 else np.float64
+
+
 class Tensor:
-    """N-dimensional float64 array, optionally tracked for gradients."""
+    """N-dimensional float32 or float64 array, optionally tracked for gradients."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.array(data, dtype=np.float64, order="C")
+        data = np.asarray(data)
+        self.data = np.array(data, dtype=_float_dtype(data.dtype), order="C")
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -68,16 +80,16 @@ class Tensor:
 
     # operator sugar; all real work happens in the module-level ops
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(_wrap(other, self), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -110,8 +122,14 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _wrap(x, like):
+    # a Python number takes the other operand's dtype, as NumPy's weak
+    # scalars do, so `t + 1.0` stays float32 for a float32 `t`
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, (int, float)):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def constant(data):
@@ -185,7 +203,7 @@ class Tape:
 
 def _emit(data, inputs, backward):
     out = Tensor.__new__(Tensor)
-    out.data = data if data.dtype == np.float64 else data.astype(np.float64)
+    out.data = data if data.dtype == np.float64 or data.dtype == np.float32 else data.astype(np.float64)
     out.requires_grad = False
     out.grad = None
     tape = _ACTIVE_TAPE.get()
@@ -360,7 +378,7 @@ def narrow(a, axis, start, length):
     index = tuple(index)
 
     def backward(g):
-        full = np.zeros(a.shape)
+        full = np.zeros(a.shape, dtype=g.dtype)
         full[index] = g
         return (full,)
 
@@ -478,22 +496,25 @@ def _window_geometry(h, w, k, stride, pad):
 
 
 def _gather_windows(xp, k, stride, nh, nw):
-    # xp: [B, hp, wp, C] -> [B, L, k*k, C]; one strided slice per offset
+    # xp: [B, hp, wp, C] -> [B, L, k*k, C]: a strided view of every window,
+    # [B, nh, nw, C, k, k], laid out by one copy into a fresh array
     b, _, _, c = xp.shape
-    out = np.empty((b, nh, nw, k * k, c))
-    t = 0
-    for di in range(k):
-        for dj in range(k):
-            out[:, :, :, t, :] = xp[:, di:di + stride * nh:stride, dj:dj + stride * nw:stride, :]
-            t += 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    out = np.empty((b, nh, nw, k, k, c), dtype=xp.dtype)
+    out[...] = windows.transpose(0, 1, 2, 4, 5, 3)
     return out.reshape(b, nh * nw, k * k, c)
 
 
 def _scatter_windows(g, hp, wp, k, stride, nh, nw):
     # g: [B, L, k*k, C] -> [B, hp, wp, C], summing overlaps
     b, _, kk, c = g.shape
+    if stride == k:
+        # the windows tile the grid, so each position is one window entry
+        out = np.empty((b, hp, wp, c), dtype=g.dtype)
+        out.reshape(b, nh, k, nw, k, c)[...] = g.reshape(b, nh, nw, k, k, c).transpose(0, 1, 3, 2, 4, 5)
+        return out
     blocks = g.reshape(b, nh, nw, kk, c)
-    acc = np.zeros((b, hp, wp, c))
+    acc = np.zeros((b, hp, wp, c), dtype=g.dtype)
     t = 0
     for di in range(k):
         for dj in range(k):
@@ -574,7 +595,7 @@ def outlook_attention(attn_logits, v, k, heads):
     b, h, w, c = v.shape
     kk, d, pad = k * k, c // heads, (k - 1) // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    inv_counts = 1.0 / overlap_counts(h, w, k, 1, pad)[None, :, :, None]
+    inv_counts = (1.0 / overlap_counts(h, w, k, 1, pad)).astype(v.data.dtype)[None, :, :, None]
     s = _softmax(attn_logits.data.reshape(b, h * w, heads, kk, kk))
     cols = _gather_windows(np.pad(v.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))), k, 1, h, w)
     # contiguous [B, L, heads, kk, d], and below a strided view of the upstream

@@ -60,10 +60,9 @@ def _validate_ages(records, config):
             raise InputError(f"{r.image}: age {r.age} outside [{config.y_min}, {config.y_max}]")
 
 
-def _batch_arrays(pairs, side):
-    faces = np.stack([p.as_arrays(side)[0] for p in pairs])
-    bodies = np.stack([p.as_arrays(side)[1] for p in pairs])
-    return faces, bodies
+def _batch_arrays(pairs, side, dtype):
+    arrays = [p.as_arrays(side, dtype) for p in pairs]
+    return np.stack([face for face, _ in arrays]), np.stack([body for _, body in arrays])
 
 
 def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
@@ -115,7 +114,7 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
             labels.append(GENDER_INDEX[rec.gender])
             weights.append(lds.weight_for(rec.age))
 
-        faces, bodies = _batch_arrays(pairs, config.image_side)
+        faces, bodies = _batch_arrays(pairs, config.image_side, model.dtype)
         ctx = TrainContext(rng=rng, drop_rate=config.drop_rate, drop_path_rate=config.drop_path_rate)
         with Tape() as tape:
             logits, age_norm = model.forward_batch(faces, bodies, ctx=ctx)
@@ -208,7 +207,7 @@ def evaluate(manifest_path, model_or_checkpoint, mode="both"):
     pred_gender = []
     for start in range(0, len(kept), config.batch_size):
         chunk = [pair for _, pair in kept[start:start + config.batch_size]]
-        faces, bodies = _batch_arrays(chunk, config.image_side)
+        faces, bodies = _batch_arrays(chunk, config.image_side, model.dtype)
         logits, age_norm = model.forward_batch(faces, bodies, skip=skip)
         pred_years.extend(normalizer.denormalize(age_norm.data).tolist())
         pred_gender.extend("male" if row[0] >= row[1] else "female" for row in logits.data)

@@ -34,7 +34,7 @@ def _dropout(x, ctx):
         return x
     keep = 1.0 - ctx.drop_rate
     mask = (ctx.rng.random(x.shape) < keep) / keep
-    return x * T.constant(mask)
+    return x * T.constant(mask.astype(x.data.dtype, copy=False))
 
 
 def _drop_path(x, ctx):
@@ -44,7 +44,7 @@ def _drop_path(x, ctx):
     keep = 1.0 - ctx.drop_path_rate
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     mask = (ctx.rng.random(shape) < keep) / keep
-    return x * T.constant(mask)
+    return x * T.constant(mask.astype(x.data.dtype, copy=False))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,34 @@ def linear_oracle(x, w, b):
     return T.reshape(flat @ w + b, x.shape[:-1] + (w.shape[1],))
 
 
+def window_columns_oracle(x, k, stride, pad):
+    """unfold's values on a [B, H, W, C] array: one strided slice per
+    window offset (di, dj) into column di * k + dj."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    b, hp, wp, c = xp.shape
+    nh, nw = (hp - k) // stride + 1, (wp - k) // stride + 1
+    out = np.empty((b, nh, nw, k * k, c), dtype=x.dtype)
+    for di in range(k):
+        for dj in range(k):
+            out[:, :, :, di * k + dj, :] = xp[:, di:di + stride * nh:stride, dj:dj + stride * nw:stride, :]
+    return out.reshape(b, nh * nw, k * k, c)
+
+
+def window_fold_oracle(cols, hw, k, stride, pad):
+    """fold's values: each window column added back at its offset, in
+    column order, onto a zero padded grid, then the padding cut off."""
+    h, w = hw
+    b, _, _, c = cols.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    nh, nw = (hp - k) // stride + 1, (wp - k) // stride + 1
+    blocks = cols.reshape(b, nh, nw, k * k, c)
+    acc = np.zeros((b, hp, wp, c), dtype=cols.dtype)
+    for di in range(k):
+        for dj in range(k):
+            acc[:, di:di + stride * nh:stride, dj:dj + stride * nw:stride, :] += blocks[:, :, :, di * k + dj, :]
+    return acc[:, pad:hp - pad, pad:wp - pad, :]
+
+
 def outlook_attention_oracle(attn_logits, v, k, heads):
     """Outlook attention as unfold -> per-window softmax attention -> fold,
     then division by the overlap counts."""

@@ -112,7 +112,21 @@ def test_eval_malformed_checkpoint_is_input_error(case, eval_inputs, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edited.ckpt" in err
     if case == "v1_text":
-        assert "agegender-weights/2" in err
+        assert "agegender-weights/3" in err
+
+
+def test_eval_format_2_checkpoint_names_format_3(eval_inputs, tmp_path, capsys):
+    # format 2: the same header layout with an always-float64 payload and
+    # no dtype in the config
+    line, payload = eval_inputs[1].split(b"\n", 1)
+    header = json.loads(line)
+    header["format"] = "agegender-weights/2"
+    del header["config"]["dtype"]
+    v2 = np.frombuffer(payload, dtype="<f4").astype("<f8").tobytes()
+    assert _eval_code(eval_inputs, json.dumps(header).encode() + b"\n" + v2, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "edited.ckpt" in err
+    assert "agegender-weights/2" in err and "agegender-weights/3" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -233,8 +233,8 @@ def test_gradients_reach_both_embeddings(rng):
 def test_model_gradcheck_micro(rng):
     # targets near the initial predictions keep the loss value small,
     # which keeps finite-difference cancellation noise away from the
-    # 1e-8 denominator floor
-    cfg = micro_config()
+    # 1e-8 denominator floor; h=1e-5 needs float64
+    cfg = micro_config(dtype="float64")
     model = FaceBodyModel(cfg)
     faces = crops(rng, cfg, 2)
     bodies = crops(rng, cfg, 2)
@@ -251,6 +251,33 @@ def test_model_gradcheck_micro(rng):
     # 1e-4 bound at h=1e-5 is asserted on the tiny config in the
     # acceptance suite
     assert worst < 5e-3, per
+
+
+def test_float32_model_computes_in_float32_end_to_end(rng):
+    # one taped step with dropout and drop-path on, then an untaped forward:
+    # a float64 constant anywhere would promote its node and everything
+    # downstream of it
+    from agegender.volo import TrainContext
+
+    cfg = tiny_config()
+    assert cfg.dtype == "float32" and cfg.drop_rate > 0 and cfg.drop_path_rate > 0
+    model = FaceBodyModel(cfg)
+    faces, bodies = crops(rng, cfg, 4), crops(rng, cfg, 4)  # float64 images
+    ctx = TrainContext(rng=np.random.default_rng(1), drop_rate=cfg.drop_rate, drop_path_rate=cfg.drop_path_rate)
+    with Tape() as tape:
+        logits, age = model.forward_batch(faces, bodies, ctx=ctx)
+        loss = combined_loss(
+            weighted_mse(age, np.array([0.2, 0.8, 0.4, 0.6]), np.array([1.0, 0.5, 2.0, 1.0])),
+            gender_loss(logits, [0, 1, 1, 0]),
+            cfg.gender_loss_weight,
+        )
+        tape.backward(loss)
+    float32 = np.dtype(np.float32)
+    assert {node.output.data.dtype for node in tape._nodes} == {float32}
+    assert {node.output.grad.dtype for node in tape._nodes if node.output.grad is not None} == {float32}
+    assert all(p.data.dtype == float32 and p.grad.dtype == float32 for p in model.params.values())
+    logits, age = model.forward_batch(faces, bodies)
+    assert logits.data.dtype == float32 and age.data.dtype == float32
 
 
 def test_freeze_blocks_grads_and_updates(rng):

@@ -68,6 +68,43 @@ def test_adamw_nan_grad_aborts():
         opt.step()
 
 
+def test_adamw_float32_master_matches_float64_run():
+    cfg = tiny_config(learning_rate=0.01, weight_decay=0.05)
+    rng = np.random.default_rng(3)
+    init = rng.standard_normal(40).astype(np.float32)
+    p32 = Tensor(init, requires_grad=True)
+    p64 = Tensor(init.astype(np.float64), requires_grad=True)
+    opt32 = AdamW({"p": p32}, cfg)
+    opt64 = AdamW({"p": p64}, cfg)
+    assert opt64.master["p"] is p64.data  # a float64 parameter is its own master
+    for step in range(25):
+        g = rng.standard_normal(40).astype(np.float32)
+        p32.grad = g
+        p64.grad = g.astype(np.float64)
+        lr = warmup_lr(step, cfg)
+        opt32.step(lr)
+        opt64.step(lr)
+        assert p32.data.dtype == np.float32
+        assert opt32.master["p"].dtype == np.float64
+        assert opt32.master["p"].tobytes() == p64.data.tobytes()
+        assert p32.data.tobytes() == p64.data.astype(np.float32).tobytes()
+
+
+def test_adamw_float32_keeps_decay_below_float32_resolution():
+    # the default lr * weight_decay (7.5e-10) is below half an ulp of 1.0
+    # in float32: the decay survives in the master and shows in the
+    # parameter once it has built up to a float32 step
+    cfg = tiny_config()
+    p = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+    opt = AdamW({"p": p}, cfg)
+    opt.step()
+    assert opt.master["p"][0] == 1.0 - cfg.learning_rate * cfg.weight_decay
+    assert p.data[0] == 1.0
+    for _ in range(100):
+        opt.step()
+    assert p.data[0] < 1.0
+
+
 def test_adamw_skips_frozen():
     cfg = tiny_config(learning_rate=0.1, weight_decay=0.1)
     p = Tensor([1.0], requires_grad=True)
@@ -228,6 +265,65 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for name, p in model.params.items():
         np.testing.assert_array_equal(again.params[name].data, p.data)
         assert again.params[name].requires_grad == p.requires_grad
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_payload_is_in_config_dtype(dtype, tmp_path):
+    model = FaceBodyModel(micro_config(dtype=dtype))
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+    blob = path.read_bytes()
+    payload = blob[blob.index(b"\n") + 1:]
+    itemsize = np.dtype(dtype).itemsize
+    assert len(payload) == model.parameter_count() * itemsize
+    arrays, config, _ = load_checkpoint(path)
+    assert config.dtype == dtype
+    assert all(arr.dtype == np.dtype(dtype).newbyteorder("<") for arr in arrays.values())
+    # the length check counts items of the config's size
+    for edited in (payload + bytes(itemsize), payload[:-itemsize]):
+        path.write_bytes(blob[:blob.index(b"\n") + 1] + edited)
+        with pytest.raises(InputError, match=f"needs {len(payload)} "):
+            load_checkpoint(path)
+
+
+def test_float32_checkpoint_roundtrip_bit_exact_fresh_and_trained(tmp_path):
+    from agegender.losses import combined_loss, gender_loss, weighted_mse
+    from agegender.tensor import Tape
+
+    cfg = micro_config(seed=4)
+    assert cfg.dtype == "float32"
+    model = FaceBodyModel(cfg)
+    opt = AdamW(model.params, cfg)
+    rng = np.random.default_rng(1)
+    for trained in (False, True):
+        if trained:
+            for _ in range(3):
+                with Tape() as tape:
+                    logits, age = model.forward_batch(rng.random((2, 3, 32, 32)), rng.random((2, 3, 32, 32)))
+                    tape.backward(combined_loss(weighted_mse(age, np.array([0.3, 0.6]), np.ones(2)),
+                                                gender_loss(logits, [0, 1]), 0.03))
+                opt.step(0.01)
+                model.zero_grads()
+        path = tmp_path / f"trained_{trained}.ckpt"
+        save_model(path, model)
+        again = load_model(path)
+        assert again.config == cfg
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float32
+            assert again.params[name].data.dtype == np.float32
+            assert again.params[name].data.tobytes() == p.data.tobytes()
+
+
+@pytest.mark.parametrize("source_dtype, target_dtype", [("float64", "float32"), ("float32", "float64")])
+def test_init_from_single_input_casts_between_dtypes(source_dtype, target_dtype, tmp_path):
+    source = FaceBodyModel(micro_config(seed=11, dtype=source_dtype))
+    src_path = tmp_path / "face.ckpt"
+    save_model(src_path, source)
+    model = init_from_single_input(src_path, micro_config(seed=11, dtype=target_dtype), enhancer_seed=5)
+    assert all(p.data.dtype == np.dtype(target_dtype) for p in model.params.values())
+    for name, source_name in (("body_embed.weight", "face_embed.weight"), ("head.fc2.weight", "head.fc2.weight")):
+        want = source.params[source_name].data.astype(target_dtype)
+        assert model.params[name].data.tobytes() == want.tobytes()
 
 
 def test_checkpoint_detects_tampering(tmp_path):

@@ -4,7 +4,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import attention_oracle, linear_oracle, outlook_attention_oracle
+from oracles import (
+    attention_oracle,
+    linear_oracle,
+    outlook_attention_oracle,
+    window_columns_oracle,
+    window_fold_oracle,
+)
 
 from agegender import Tape, Tensor, constant, parameter
 from agegender.errors import DimensionError, NumericalError, TapeError
@@ -219,6 +225,45 @@ def test_fold_unfold_equals_overlap_count_scaling(k, stride, pad):
         counts = counts[pad:pad + h, pad:pad + w]
         np.testing.assert_allclose(back.data, x.data * counts[None, :, :, None], atol=1e-12)
         np.testing.assert_array_equal(T.overlap_counts(h, w, k, stride, pad), counts)
+
+
+# (k, stride, pad, h, w): overlapping, tiling (stride == k, as in the patch
+# embedding and the downsample), a single window, and strided with padding
+WINDOW_CASES = [(3, 1, 1, 5, 6), (2, 2, 0, 4, 6), (8, 8, 0, 16, 8), (3, 3, 0, 3, 3), (3, 2, 1, 7, 5), (1, 1, 0, 2, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,stride,pad,h,w", WINDOW_CASES)
+def test_unfold_fold_are_bitwise_the_slice_loops(k, stride, pad, h, w, dtype):
+    rng = np.random.default_rng(12)
+    x = parameter(rng.standard_normal((2, h, w, 3)).astype(dtype))
+    cols = T.unfold(x, k, stride, pad)
+    want_cols = window_columns_oracle(x.data, k, stride, pad)
+    assert cols.data.dtype == dtype and cols.data.tobytes() == want_cols.tobytes()
+    g = rng.standard_normal(cols.shape).astype(dtype)
+    with Tape() as tape:
+        out = T.unfold(x, k, stride, pad)
+        tape.backward((out * constant(g)).sum())
+    assert x.grad.dtype == dtype and x.grad.tobytes() == window_fold_oracle(g, (h, w), k, stride, pad).tobytes()
+    g = constant(g)
+    folded = T.fold(g, (h, w), k, stride, pad)
+    assert folded.data.tobytes() == window_fold_oracle(g.data, (h, w), k, stride, pad).tobytes()
+    assert not np.shares_memory(folded.data, g.data)
+
+
+def test_float32_and_float64_are_kept_everything_else_is_float64():
+    for data, dtype in [
+        (np.ones(3, dtype=np.float32), np.float32),
+        (np.ones(3), np.float64),
+        (np.ones(3, dtype=np.float16), np.float64),
+        (np.ones(3, dtype=np.int32), np.float64),
+        ([1, 2], np.float64),
+        (2.0, np.float64),
+    ]:
+        assert Tensor(data).data.dtype == dtype
+    x = parameter(np.ones((2, 2), dtype=np.float32))
+    for out in (x + 1.0, 1 - x, x * 2.0, -x, T.gelu(x), x.mean()):
+        assert out.data.dtype == np.float32
 
 
 def test_unfold_invalid_geometry():

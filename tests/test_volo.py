@@ -327,6 +327,16 @@ def test_config_validation():
         ModelConfig(outlook_window=4)
     with pytest.raises(ConfigError):
         ModelConfig(y_min=50, y_max=50)
+    for dtype in ("float16", "int32", "f4", np.float32):
+        with pytest.raises(ConfigError, match="dtype"):
+            ModelConfig(dtype=dtype)
+
+
+def test_dtype_defaults_to_float32_and_is_not_architecture():
+    assert ModelConfig().dtype == "float32"
+    a, b = tiny_config(), tiny_config(dtype="float64")
+    assert a.arch_hash() == b.arch_hash()
+    assert a.config_hash() != b.config_hash()
 
 
 def test_config_roundtrip_and_unknown_keys(tmp_path):
