@@ -73,9 +73,10 @@ def augment(record, image, rng, config):
         if bbox is None:
             return None
         box = jitter_bbox(bbox, config.jitter, rng, img_w, img_h)
-        crop = image[box.y0:box.y1, box.x0:box.x1].copy()
+        # views: letterbox only reads its input, and the erase copies
+        crop = image[box.y0:box.y1, box.x0:box.x1]
         if do_flip:
-            crop = crop[:, ::-1].copy()
+            crop = crop[:, ::-1]
         crop = letterbox(crop, config.image_side)
         if do_erase:
             crop = random_erase_region(crop, rng, config.erase_area_min, config.erase_area_max)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .errors import InputError
-from .fusion import FaceBodyModel
+from .fusion import FaceBodyModel, init_params
 from .tensor import Tensor, check_finite
 
 FORMAT = "agegender-weights/3"
@@ -102,19 +102,22 @@ def save_model(path, model: FaceBodyModel):
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint; structure must match exactly."""
+    """Rebuild a model from a checkpoint; structure must match exactly.
+
+    Names and shapes are checked against the config's architecture
+    (`init_params` placeholders); no random init is drawn.
+    """
     arrays, config, frozen = load_checkpoint(path)
-    model = FaceBodyModel(config)
-    if set(arrays) != set(model.params):
-        missing = sorted(set(model.params) - set(arrays))
-        extra = sorted(set(arrays) - set(model.params))
+    expected = init_params(config, rng=None)
+    if set(arrays) != set(expected):
+        missing = sorted(set(expected) - set(arrays))
+        extra = sorted(set(arrays) - set(expected))
         raise InputError(f"{path}: parameter set mismatch (missing {missing[:3]}, extra {extra[:3]})")
     for name, arr in arrays.items():
-        if arr.shape != model.params[name].shape:
-            raise InputError(f"{path}: {name}: shape {arr.shape} != {model.params[name].shape}")
-        model.params[name] = Tensor(arr, requires_grad=True)
-    for name in frozen:
-        model.params[name].requires_grad = False
+        if arr.shape != expected[name].shape:
+            raise InputError(f"{path}: {name}: shape {arr.shape} != {expected[name].shape}")
+    params = {name: Tensor(arrays[name], requires_grad=name not in frozen) for name in expected}
+    model = FaceBodyModel(config, params=params)
     model.frozen = frozen
     return model
 

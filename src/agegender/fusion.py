@@ -110,6 +110,24 @@ def enhance(params, face_tokens, body_tokens, cfg):
 # full model
 
 
+def init_params(config: ModelConfig, rng):
+    """The model's parameters {path: Tensor} in `config.dtype`, drawn from
+    `rng`. With rng None nothing is drawn and every weight is a zero
+    placeholder: the architecture's names and shapes, for a loader.
+    """
+    params = {}
+    init_patch_embed(params, "face_embed", rng, config)
+    init_patch_embed(params, "body_embed", rng, config)
+    init_enhancer(params, rng, config)
+    init_trunk(params, rng, config)
+    # drawn in float64, so a seed gives the same weights in both dtypes
+    # up to rounding
+    dtype = np.dtype(config.dtype)
+    for p in params.values():
+        p.data = p.data.astype(dtype, copy=False)
+    return params
+
+
 class FaceBodyModel:
     """Dual-input age & gender estimator.
 
@@ -119,19 +137,14 @@ class FaceBodyModel:
     activations are all in `config.dtype`.
     """
 
-    def __init__(self, config: ModelConfig, rng=None):
+    def __init__(self, config: ModelConfig, rng=None, params=None):
+        """Random init from `rng` (default: seeded by `config.seed`), or,
+        when `params` {path: Tensor} is given, those parameters as they
+        are and no random draws."""
         self.config = config
         self.dtype = np.dtype(config.dtype)
-        rng = np.random.default_rng(config.seed) if rng is None else rng
-        params = {}
-        init_patch_embed(params, "face_embed", rng, config)
-        init_patch_embed(params, "body_embed", rng, config)
-        init_enhancer(params, rng, config)
-        init_trunk(params, rng, config)
-        # drawn in float64, so a seed gives the same weights in both dtypes
-        # up to rounding
-        for p in params.values():
-            p.data = p.data.astype(self.dtype, copy=False)
+        if params is None:
+            params = init_params(config, np.random.default_rng(config.seed) if rng is None else rng)
         self.params = params
         self.frozen = set()
 

@@ -18,7 +18,9 @@ ops compute in their operands' dtype, so a model whose parameters and
 constants are all float32 runs in float32 end to end. Constants such as
 Python floats never promote (NumPy 2 scalar rules). Structural ops
 (reshape, transpose, concat, narrow) still copy instead of aliasing:
-correctness over speed at desk scale. No op writes into an input buffer.
+correctness over speed at desk scale. No op writes into an input buffer;
+an op may reuse a temporary of its own in place, in the operation order
+and result dtype of the out-of-place expression, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import contextvars
 import math
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 from scipy.special import erf as _erf
 
 from .errors import DimensionError, NumericalError, TapeError
@@ -213,6 +216,15 @@ def _emit(data, inputs, backward):
     return out
 
 
+def _into(ufunc, a, b, out):
+    """ufunc(a, b) written into `out`, a fresh array of the result's shape,
+    unless the out-of-place result would take a wider dtype than `out`'s
+    (a float32 buffer meeting a float64 operand)."""
+    if np.result_type(a, b) != out.dtype:
+        return ufunc(a, b)
+    return ufunc(a, b, out=out)
+
+
 def _unbroadcast(g, shape):
     if g.shape == tuple(shape):
         return g
@@ -269,14 +281,29 @@ def scale(a, s):
 
 
 def gelu(a):
-    """Exact (erf-based) GELU."""
-    e = _erf(a.data * _INV_SQRT2)
+    """Exact (erf-based) GELU: 0.5 * x * (1 + erf(x / sqrt 2)).
+
+    Temporaries are built in place, in the same operation order as the
+    formula; the backward reuses the stored 1 + erf.
+    """
+    x = a.data
+    one_plus_erf = x * _INV_SQRT2
+    _erf(one_plus_erf, out=one_plus_erf)
+    np.add(1.0, one_plus_erf, out=one_plus_erf)
+    out = 0.5 * x
+    np.multiply(out, one_plus_erf, out=out)
 
     def backward(g):
-        d = 0.5 * (1.0 + e) + a.data * np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-        return (g * d,)
+        # 0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi)
+        d = -0.5 * x
+        np.multiply(d, x, out=d)
+        np.exp(d, out=d)
+        np.multiply(x, d, out=d)
+        np.multiply(d, _INV_SQRT2PI, out=d)
+        np.add(0.5 * one_plus_erf, d, out=d)
+        return (_into(np.multiply, g, d, d),)
 
-    return _emit(0.5 * a.data * (1.0 + e), (a,), backward)
+    return _emit(out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +335,8 @@ def linear(x, w, b):
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise DimensionError(f"linear: x {x.shape}, weight {w.shape} and bias {b.shape} do not fit")
     flat = x.data.reshape(-1, w.shape[0])
-    out = flat @ w.data + b.data
+    out = flat @ w.data
+    out = _into(np.add, out, b.data, out)
 
     def backward(g):
         g = g.reshape(-1, w.shape[1])
@@ -421,8 +449,24 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def _softmax(x, axis=-1):
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    """exp(x - max) / sum along `axis`.
+
+    The row max is an elementwise `np.maximum` over an axis-first
+    contiguous copy, so short rows (outlook attention's are k*k = 9 wide)
+    reduce in a few long vectorized passes instead of one tiny reduction
+    per row. A max is exact, so the values are those of `x.max(axis)`.
+    A NaN max is taken again as `x.max(axis)`: which NaN a reduction
+    returns (its sign bit) depends on its loop, and this keeps those bits.
+    """
+    axis = normalize_axis_index(axis, x.ndim)
+    lead, n, trail = math.prod(x.shape[:axis]), x.shape[axis], math.prod(x.shape[axis + 1:])
+    rows = np.ascontiguousarray(x.reshape(lead, n, trail).transpose(1, 0, 2))
+    m = np.maximum.reduce(rows, axis=0).reshape(x.shape[:axis] + (1,) + x.shape[axis + 1:])
+    if np.isnan(m).any():
+        m = x.max(axis=axis, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    return np.divide(e, e.sum(axis=axis, keepdims=True), out=e)
 
 
 def _softmax_backward(s, g, axis=-1):
@@ -601,7 +645,7 @@ def outlook_attention(attn_logits, v, k, heads):
     # contiguous [B, L, heads, kk, d], and below a strided view of the upstream
     # gradient: the matmul operands the generic-op composite had, so results
     # are bitwise the composite's
-    cols = cols.reshape(b, h * w, kk, heads, d).transpose(0, 1, 3, 2, 4).copy()
+    cols = np.ascontiguousarray(cols.reshape(b, h * w, kk, heads, d).transpose(0, 1, 3, 2, 4))
     out = (s @ cols).transpose(0, 1, 3, 2, 4).reshape(b, h * w, kk, c)
     grid = _scatter_windows(out, hp, wp, k, 1, h, w)[:, pad:hp - pad, pad:wp - pad, :]
 

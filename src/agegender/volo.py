@@ -29,12 +29,20 @@ class TrainContext:
     drop_path_rate: float = 0.0
 
 
+def _mask(u, keep, dtype):
+    """Inverted-dropout mask: 1/keep where u < keep, else 0, in `dtype`.
+
+    The bool array times a `dtype` scalar is built in one pass, with the
+    values of `((u < keep) / keep).astype(dtype)`: 1/keep rounded once.
+    """
+    return (u < keep) * dtype.type(1.0 / keep)
+
+
 def _dropout(x, ctx):
     if ctx is None or ctx.drop_rate <= 0.0:
         return x
     keep = 1.0 - ctx.drop_rate
-    mask = (ctx.rng.random(x.shape) < keep) / keep
-    return x * T.constant(mask.astype(x.data.dtype, copy=False))
+    return x * T.constant(_mask(ctx.rng.random(x.shape), keep, x.data.dtype))
 
 
 def _drop_path(x, ctx):
@@ -43,8 +51,7 @@ def _drop_path(x, ctx):
         return x
     keep = 1.0 - ctx.drop_path_rate
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
-    mask = (ctx.rng.random(shape) < keep) / keep
-    return x * T.constant(mask.astype(x.data.dtype, copy=False))
+    return x * T.constant(_mask(ctx.rng.random(shape), keep, x.data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +69,10 @@ def trunc_normal(rng, shape, std=0.02):
 
 
 def init_linear(params, name, rng, fan_in, fan_out):
-    params[name + ".weight"] = T.parameter(trunc_normal(rng, (fan_in, fan_out)))
+    """Truncated-normal weight and zero bias; with rng None the weight is
+    a zero placeholder and nothing is drawn."""
+    shape = (fan_in, fan_out)
+    params[name + ".weight"] = T.parameter(np.zeros(shape) if rng is None else trunc_normal(rng, shape))
     params[name + ".bias"] = T.parameter(np.zeros(fan_out))
 
 

@@ -5,8 +5,11 @@ where they exist, straight-line transcriptions of the formulas elsewhere.
 The exceptions are the fused layers of the tensor engine, whose oracles
 are the composites of generic ops (unfold, fold, softmax, matmul, reshape,
 transpose) they replace, which have finite-difference tests of their own;
-and the per-task vote aggregation and full-range KDE grid, kept as the
-references the columnar and windowed versions must equal bit for bit.
+the per-task vote aggregation and full-range KDE grid, kept as the
+references the columnar and windowed versions must equal bit for bit; and
+the straightforward crop preprocessing, augmentation, softmax, GELU,
+out-of-place `linear` and dropout masks, which their leaner replacements
+must equal bit for bit.
 """
 
 import math
@@ -16,7 +19,10 @@ import numpy as np
 from scipy import stats as sps
 
 from agegender import tensor as T
+from agegender.augment import jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
+from agegender.fusion import CropPair
+from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image
 from agegender.votes import GENDERS, MAE_FLOOR, VoteRecord, baseline_aggregate
 
 KDE_BANDWIDTH = 2.0
@@ -273,3 +279,125 @@ def aggregate_tasks_oracle(records, user_stats, method="weighted_mean"):
             out["gender"] = aggregate_gender_oracle([g for _, g in record.gender_votes])
         results.append(out)
     return results
+
+
+def bilinear_resize_oracle(image, out_h, out_w):
+    """Bilinear resampling that gathers the four corner pixels of every
+    output pixel and blends them, top and bottom rows first."""
+    h, w = image.shape[:2]
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
+    bottom = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+def letterbox_oracle(crop, target, fill=CHANNEL_MEAN):
+    """Letterbox over `bilinear_resize_oracle`, the canvas filled per pixel."""
+    h, w = crop.shape[:2]
+    if h >= w:
+        new_h, new_w = target, max(1, round(w * target / h))
+    else:
+        new_w, new_h = target, max(1, round(h * target / w))
+    out = np.empty((target, target, 3))
+    out[:] = fill
+    top = (target - new_h) // 2
+    left = (target - new_w) // 2
+    out[top:top + new_h, left:left + new_w] = bilinear_resize_oracle(crop, new_h, new_w)
+    return out
+
+
+def normalize_channels_oracle(crop):
+    """Channels-last z-score, then a transposed copy to [3, H, W]."""
+    out = (crop - CHANNEL_MEAN) / CHANNEL_STD
+    return np.transpose(out, (2, 0, 1)).copy()
+
+
+def prepare_crop_oracle(image, bbox, target):
+    """Copied crop -> letterbox -> normalize, all through the oracles."""
+    crop, _ = crop_image(image, bbox)
+    return normalize_channels_oracle(letterbox_oracle(crop, target))
+
+
+def augment_oracle(record, image, rng, config):
+    """`augment` with copied crops and flips, over the resize oracles; the
+    same draws from `rng` in the same order."""
+    img_h, img_w = image.shape[:2]
+    do_flip = config.hflip_prob > 0 and rng.random() < config.hflip_prob
+    do_erase = config.erase_prob > 0 and rng.random() < config.erase_prob
+
+    def one_side(bbox):
+        if bbox is None:
+            return None
+        box = jitter_bbox(bbox, config.jitter, rng, img_w, img_h)
+        crop = image[box.y0:box.y1, box.x0:box.x1].copy()
+        if do_flip:
+            crop = crop[:, ::-1].copy()
+        crop = letterbox_oracle(crop, config.image_side)
+        if do_erase:
+            crop = random_erase_region(crop, rng, config.erase_area_min, config.erase_area_max)
+        return normalize_channels_oracle(crop)
+
+    return CropPair(face=one_side(record.face_bbox), body=one_side(record.body_bbox))
+
+
+def softmax_oracle(x, axis=-1):
+    """Array softmax with the row max as `x.max(axis)` and out-of-place
+    temporaries."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def fused_linear_oracle(x, w, b):
+    """The fused `linear` node with its bias added out of place."""
+    flat = x.data.reshape(-1, w.shape[0])
+    out = flat @ w.data + b.data
+
+    def backward(g):
+        g = g.reshape(-1, w.shape[1])
+        return (
+            (g @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            flat.T @ g if w.requires_grad else None,
+            g.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return T._emit(out.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), backward)
+
+
+def gelu_oracle(a):
+    """Exact GELU node transcribed from the formula, every temporary out of
+    place."""
+    e = T._erf(a.data * T._INV_SQRT2)
+
+    def backward(g):
+        d = 0.5 * (1.0 + e) + a.data * np.exp(-0.5 * a.data * a.data) * T._INV_SQRT2PI
+        return (g * d,)
+
+    return T._emit(0.5 * a.data * (1.0 + e), (a,), backward)
+
+
+def dropout_oracle(x, ctx):
+    """Element dropout with the mask divided in float64, then cast."""
+    if ctx is None or ctx.drop_rate <= 0.0:
+        return x
+    keep = 1.0 - ctx.drop_rate
+    mask = (ctx.rng.random(x.shape) < keep) / keep
+    return x * T.constant(mask.astype(x.data.dtype, copy=False))
+
+
+def drop_path_oracle(x, ctx):
+    """Per-sample stochastic depth with the mask divided in float64, then cast."""
+    if ctx is None or ctx.drop_path_rate <= 0.0:
+        return x
+    keep = 1.0 - ctx.drop_path_rate
+    shape = (x.shape[0],) + (1,) * (x.ndim - 1)
+    mask = (ctx.rng.random(shape) < keep) / keep
+    return x * T.constant(mask.astype(x.data.dtype, copy=False))

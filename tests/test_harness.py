@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from agegender.augment import augment, input_dropout, jitter_bbox, random_erase_region
+from agegender import volo
 from agegender.checkpoint import (
     init_from_single_input,
     load_checkpoint,
     load_model,
+    save_checkpoint,
     save_model,
 )
 from agegender.config import micro_config, tiny_config
@@ -324,6 +326,46 @@ def test_init_from_single_input_casts_between_dtypes(source_dtype, target_dtype,
     for name, source_name in (("body_embed.weight", "face_embed.weight"), ("head.fc2.weight", "head.fc2.weight")):
         want = source.params[source_name].data.astype(target_dtype)
         assert model.params[name].data.tobytes() == want.tobytes()
+
+
+def test_load_model_draws_no_random_init(tmp_path, monkeypatch):
+    model = FaceBodyModel(micro_config(seed=6))
+    model.freeze("face_embed")
+    path = tmp_path / "m.ckpt"
+    save_model(path, model)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_model drew a random init")
+
+    monkeypatch.setattr(volo, "trunc_normal", no_draws)
+    again = load_model(path)
+    assert list(again.params) == list(model.params)  # init order, as the optimizer sees it
+    for name, p in model.params.items():
+        assert again.params[name].data.tobytes() == p.data.tobytes()
+        assert again.params[name].requires_grad == p.requires_grad
+    assert again.frozen == model.frozen
+    with pytest.raises(AssertionError, match="random init"):
+        FaceBodyModel(micro_config())  # the patch is live: a fresh model draws
+
+
+def test_load_model_checks_names_and_shapes_against_the_architecture(tmp_path):
+    cfg = micro_config()
+    params = dict(FaceBodyModel(cfg).params)
+    path = tmp_path / "m.ckpt"
+    missing = {n: p for n, p in params.items() if n != "head.fc2.bias"}
+    save_checkpoint(path, missing, cfg)
+    with pytest.raises(InputError, match=r"parameter set mismatch \(missing \['head.fc2.bias'\], extra \[\]\)"):
+        load_model(path)
+    save_checkpoint(path, {**params, "head.extra": Tensor(np.zeros(2))}, cfg)
+    with pytest.raises(InputError, match=r"parameter set mismatch \(missing \[\], extra \['head.extra'\]\)"):
+        load_model(path)
+    save_checkpoint(path, {**params, "head.fc2.bias": Tensor(np.zeros(4))}, cfg)
+    with pytest.raises(InputError, match=r"head.fc2.bias: shape \(4,\) != \(3,\)"):
+        load_model(path)
+    # a checkpoint of another architecture under this config's header
+    save_checkpoint(path, FaceBodyModel(micro_config(stage1_width=16)).params, cfg)
+    with pytest.raises(InputError, match=r"shape \("):
+        load_model(path)
 
 
 def test_checkpoint_detects_tampering(tmp_path):

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from oracles import trim_oracle
+from oracles import (
+    augment_oracle,
+    bilinear_resize_oracle,
+    letterbox_oracle,
+    normalize_channels_oracle,
+    prepare_crop_oracle,
+    trim_oracle,
+)
 
+from agegender.augment import augment
+from agegender.config import tiny_config
+from agegender.data import SampleRecord, load_image
 from agegender.errors import InputError
 from agegender.pairing import BBox, Detection
 from agegender.preprocess import (
@@ -272,6 +282,82 @@ def test_prepare_crop_shape_and_determinism():
     out2 = prepare_crop(image, BBox(10, 10, 70, 100), 64)
     assert out1.shape == (3, 64, 64)
     np.testing.assert_array_equal(out1, out2)
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# sources as [h, w]: 1-px sides, squares, tall and wide, the synthetic
+# face and body crops (32x32, 56x96), and sides much longer than a target
+RESIZE_SOURCES = [(1, 1), (1, 50), (50, 1), (2, 3), (7, 9), (32, 32), (56, 96), (64, 64), (97, 31), (300, 7), (150, 220)]
+
+
+def _resize_inputs(rng, h, w):
+    """One source as a float64 array, a float32 array, and flipped
+    (negative-stride, non-contiguous) views of each."""
+    image = rng.random((h, w, 3))
+    image32 = image.astype(np.float32)
+    return [image, image32, image[:, ::-1], image[::-1], image32[::-1, ::-1], rng.random((h + 4, w + 6, 3))[2:-2, 3:-3]]
+
+
+@pytest.mark.parametrize("h, w", RESIZE_SOURCES)
+def test_bilinear_resize_is_bitwise_the_corner_blend(h, w):
+    rng = np.random.default_rng([12, h, w])
+    targets = [(1, 1), (1, 64), (64, 1), (5, 3), (64, 64), (h, w), (2 * h, 3 * w), (max(1, h // 3), max(1, w // 2))]
+    for image in _resize_inputs(rng, h, w):
+        for out_h, out_w in targets:
+            _same_bytes(bilinear_resize(image, out_h, out_w), bilinear_resize_oracle(image, out_h, out_w))
+
+
+@pytest.mark.parametrize("h, w", RESIZE_SOURCES)
+def test_letterbox_and_normalize_are_bitwise_the_oracles(h, w):
+    rng = np.random.default_rng([13, h, w])
+    for image in _resize_inputs(rng, h, w):
+        for target in (1, 16, 64, 224):
+            boxed = letterbox(image, target)
+            _same_bytes(boxed, letterbox_oracle(image, target))
+            _same_bytes(normalize_channels(boxed), normalize_channels_oracle(boxed))
+        # normalize alone, on the source's own dtype and layout
+        _same_bytes(normalize_channels(image), normalize_channels_oracle(image))
+
+
+def test_prepare_crop_is_bitwise_the_oracle_on_npy_and_float32_images(tmp_path):
+    rng = np.random.default_rng(14)
+    path = tmp_path / "image.npy"
+    np.save(path, rng.random((90, 120, 3)).astype(np.float32))
+    loaded = load_image(str(path))
+    images = [loaded, np.load(path), np.load(path)[::-1]]
+    boxes = [BBox(0, 0, 120, 90), BBox(10, 5, 42, 37), BBox(-20, 30, 40, 200), BBox(119, 89, 120, 90), BBox(3, 4, 4, 60)]
+    for image in images:
+        for box in boxes:
+            for target in (16, 64):
+                _same_bytes(prepare_crop(image, box, target), prepare_crop_oracle(image, box, target))
+
+
+def test_augment_is_bitwise_the_oracle_and_leaves_the_image_alone():
+    config = tiny_config(jitter=0.45, hflip_prob=0.5, erase_prob=0.5)
+    rng = np.random.default_rng(15)
+    image = rng.random((96, 96, 3))
+    before = image.copy()
+    records = [
+        SampleRecord(image="x", face_bbox=BBox(32, 8, 64, 40), body_bbox=BBox(0, 40, 96, 96), age=30.0, gender="male"),
+        SampleRecord(image="x", face_bbox=BBox(0, 0, 1, 96), body_bbox=None, age=30.0, gender="male"),
+        SampleRecord(image="x", face_bbox=None, body_bbox=BBox(90, 0, 96, 3), age=30.0, gender="male"),
+    ]
+    for seed in range(60):
+        record = records[seed % 3]
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = augment(record, image, rng_a, config)
+        want = augment_oracle(record, image, rng_b, config)
+        for side in ("face", "body"):
+            if getattr(want, side) is None:
+                assert getattr(got, side) is None
+            else:
+                _same_bytes(getattr(got, side), getattr(want, side))
+        assert rng_a.random() == rng_b.random()  # the same draws were made
+    assert image.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,13 @@ import pytest
 
 from oracles import (
     attention_oracle,
+    drop_path_oracle,
+    dropout_oracle,
+    fused_linear_oracle,
+    gelu_oracle,
     linear_oracle,
     outlook_attention_oracle,
+    softmax_oracle,
     window_columns_oracle,
     window_fold_oracle,
 )
@@ -16,6 +21,7 @@ from agegender import Tape, Tensor, constant, parameter
 from agegender.errors import DimensionError, NumericalError, TapeError
 from agegender.gradcheck import check_gradients, numeric_grad, relative_error
 from agegender import tensor as T
+from agegender import volo
 
 
 def fd_check(build_loss, params, tol, h=1e-5):
@@ -388,6 +394,104 @@ def test_fused_op_shape_errors():
         T.attention(constant(np.zeros((1, 3, 8))), constant(np.zeros((1, 4, 6))), constant(np.zeros((1, 4, 6))), 2)
     with pytest.raises(DimensionError):
         T.attention(constant(np.zeros((1, 3, 6))), constant(np.zeros((1, 4, 6))), constant(np.zeros((1, 4, 6))), 4)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels against their out-of-place oracles, bit for bit
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# outlook logits [B, L, heads, kk, kk], attention scores [B, heads, Tq, Tk],
+# and short, long and 1-wide rows
+SOFTMAX_SHAPES = [(2, 64, 1, 9, 9), (2, 16, 2, 9, 9), (2, 4, 16, 16), (2, 2, 64, 64), (3, 1), (1, 7), (5, 300), (4, 3, 2)]
+
+
+@pytest.mark.parametrize("shape", SOFTMAX_SHAPES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_is_bitwise_the_oracle_on_every_axis(shape, dtype):
+    rng = np.random.default_rng([24, len(shape), shape[-1]])
+    x = (rng.standard_normal(shape) * 8).astype(dtype)
+    for axis in range(-len(shape), len(shape)):
+        _same_bytes(T._softmax(x, axis), softmax_oracle(x, axis))
+        _same_bytes(T._softmax(x[..., ::-1], axis), softmax_oracle(x[..., ::-1], axis))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_is_bitwise_the_oracle_on_nan_inf_and_signed_zero_rows(dtype):
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((12, 9)).astype(dtype)
+    x[0, 3] = np.nan
+    x[1, :] = np.nan
+    x[2, 5] = np.inf
+    x[3, 0] = -np.inf
+    x[4, :] = -np.inf
+    x[5, :] = np.inf
+    x[6, [1, 4]] = [np.inf, -np.inf]
+    x[7, :] = [0.0, -0.0] * 4 + [-0.0]
+    x[8, :] = -0.0
+    x[9, 2] = np.finfo(dtype).max
+    x[10, 7] = -np.nan
+    with np.errstate(invalid="ignore"):
+        for axis in (-1, 0):
+            _same_bytes(T._softmax(x, axis), softmax_oracle(x, axis))
+        _same_bytes(T.softmax(constant(x), axis=-1).data, softmax_oracle(x))
+
+
+# (dtypes of the inputs, dtype of the upstream weight): mixed cases must
+# still promote as the out-of-place expressions do
+GELU_DTYPES = [(np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("x_dtype, g_dtype", GELU_DTYPES)
+def test_gelu_and_its_gradient_are_bitwise_the_oracle(x_dtype, g_dtype):
+    rng = np.random.default_rng(26)
+    x = (rng.standard_normal((4, 16, 48)) * 3).astype(x_dtype)
+    x[0, 0, :6] = [0.0, -0.0, 40.0, -40.0, 1e-30, -1e-30]
+    weight = rng.standard_normal(x.shape).astype(g_dtype)
+    got, (got_x,) = _taped_run(T.gelu, [x], weight)
+    want, (want_x,) = _taped_run(gelu_oracle, [x], weight)
+    _same_bytes(got.data, want.data)
+    assert got.data.dtype == x_dtype
+    _same_bytes(got_x.grad, want_x.grad)
+    assert got_x.grad.dtype == np.result_type(x_dtype, g_dtype)
+
+
+# (x, w, b) dtypes; the float32 GEMM meeting a float64 bias must promote
+LINEAR_DTYPES = [(np.float64,) * 3, (np.float32,) * 3, (np.float32, np.float32, np.float64), (np.float64, np.float32, np.float32)]
+
+
+@pytest.mark.parametrize("dtypes", LINEAR_DTYPES)
+@pytest.mark.parametrize("shapes", [[(5, 4), (4, 3), (3,)], [(2, 3, 64, 64), (64, 192), (192,)], [(1, 1), (1, 1), (1,)]])
+def test_linear_and_its_gradients_are_bitwise_the_oracle(shapes, dtypes):
+    rng = np.random.default_rng([27, len(shapes[0])])
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape, dtype in zip(shapes, dtypes)]
+    expected = np.result_type(*dtypes)
+    weight = rng.standard_normal(shapes[0][:-1] + shapes[1][1:]).astype(expected)
+    got, got_inputs = _taped_run(T.linear, arrays, weight)
+    want, want_inputs = _taped_run(fused_linear_oracle, arrays, weight)
+    _same_bytes(got.data, want.data)
+    assert got.data.dtype == expected
+    for g, w in zip(got_inputs, want_inputs):
+        _same_bytes(g.grad, w.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rate", [0.32, 0.1, 0.5, 0.9])
+def test_dropout_masks_are_bitwise_the_oracle(dtype, rate):
+    x = constant(np.random.default_rng(28).standard_normal((4, 64, 192)).astype(dtype))
+    for drop, oracle, field in ((volo._dropout, dropout_oracle, "drop_rate"), (volo._drop_path, drop_path_oracle, "drop_path_rate")):
+        got_ctx = volo.TrainContext(rng=np.random.default_rng(29), **{field: rate})
+        want_ctx = volo.TrainContext(rng=np.random.default_rng(29), **{field: rate})
+        for _ in range(3):
+            _same_bytes(drop(x, got_ctx).data, oracle(x, want_ctx).data)
+        assert got_ctx.rng.random() == want_ctx.rng.random()  # the same draws were made
+    mask = volo._mask(np.array([0.0, rate, 1.0 - rate, 0.999999]), 1.0 - rate, np.dtype(dtype))
+    assert mask.dtype == dtype
+    _same_bytes(mask, ((np.array([0.0, rate, 1.0 - rate, 0.999999]) < 1.0 - rate) / (1.0 - rate)).astype(dtype))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@ import os
 import numpy as np
 import pytest
 
+import oracles
+from agegender import tensor, volo
+from agegender import train as train_module
 from agegender.checkpoint import load_model, save_model
-from agegender.config import micro_config
+from agegender.config import micro_config, tiny_config
 from agegender.data import (
     SampleRecord,
     generate_synthetic_dataset,
@@ -114,3 +117,37 @@ def test_evaluate_single_mode_differs_from_both(dataset, tmp_path):
     both, _ = evaluate(dataset, result.checkpoint_path, mode="both")
     face, _ = evaluate(dataset, result.checkpoint_path, mode="face")
     assert both["mae"] != face["mae"]
+
+
+# every leaner kernel and its out-of-place oracle, as the module attribute
+# the training and evaluation paths look up
+ORACLE_PATCHES = [
+    (train_module, "augment", oracles.augment_oracle),
+    (train_module, "prepare_crop", oracles.prepare_crop_oracle),
+    (tensor, "_softmax", oracles.softmax_oracle),
+    (tensor, "linear", oracles.fused_linear_oracle),
+    (tensor, "gelu", oracles.gelu_oracle),
+    (volo, "_dropout", oracles.dropout_oracle),
+    (volo, "_drop_path", oracles.drop_path_oracle),
+]
+
+
+def _train_and_evaluate(manifest, config, out_dir):
+    result = train(manifest, config, out_dir)
+    reports = [evaluate(manifest, result.checkpoint_path, mode=mode) for mode in ("face", "body", "both")]
+    with open(result.checkpoint_path, "rb") as fh:
+        return fh.read(), result.log_lines, result.losses, reports
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_is_bitwise_the_same_with_the_oracle_kernels(dataset, tmp_path, monkeypatch, dtype):
+    # tiny_config keeps jitter, flips, erasing, input dropout, dropout and
+    # drop path on
+    config = tiny_config(batch_size=6, max_steps=3, log_every=1, seed=17, dtype=dtype)
+    assert config.drop_rate > 0 and config.drop_path_rate > 0 and config.erase_prob > 0 and config.hflip_prob > 0
+    got = _train_and_evaluate(dataset, config, tmp_path / "kernels")
+    for module, name, oracle in ORACLE_PATCHES:
+        monkeypatch.setattr(module, name, oracle)
+    want = _train_and_evaluate(dataset, config, tmp_path / "oracles")
+    assert got[0] == want[0]  # checkpoint bytes
+    assert got[1:] == want[1:]  # log lines, losses and the three eval reports
