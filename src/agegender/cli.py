@@ -200,16 +200,23 @@ def build_parser():
     return parser
 
 
+# every character str.splitlines() breaks at, escaped, so that a name read
+# from an input file cannot split an error message over lines
+_ESCAPE_LINE_BREAKS = str.maketrans(
+    {ch: ch.encode("unicode_escape").decode("ascii") for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {str(exc).translate(_ESCAPE_LINE_BREAKS)}", file=sys.stderr)
         return 2
     except (InputError, ConfigError, DimensionError, TapeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPE_LINE_BREAKS)}", file=sys.stderr)
         return 1
 
 

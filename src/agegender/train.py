@@ -24,7 +24,7 @@ from .losses import AgeNormalizer, LdsWeights, combined_loss, gender_loss, weigh
 from .metrics import metrics_report
 from .optim import AdamW, warmup_lr
 from .preprocess import prepare_crop
-from .tensor import Tape
+from .tensor import Tape, check_finite
 from .volo import TrainContext
 
 GENDER_INDEX = {"male": 0, "female": 1}
@@ -177,6 +177,7 @@ def evaluate(manifest_path, model_or_checkpoint, mode="both"):
 
     Modes mask the complementary input; records lacking a required side
     are skipped and counted, mirroring the three-column test protocol.
+    A non-finite predicted age or gender logit raises NumericalError.
     Returns (report dict, skipped count).
     """
     if mode not in EVAL_MODES:
@@ -209,7 +210,9 @@ def evaluate(manifest_path, model_or_checkpoint, mode="both"):
         chunk = [pair for _, pair in kept[start:start + config.batch_size]]
         faces, bodies = _batch_arrays(chunk, config.image_side, model.dtype)
         logits, age_norm = model.forward_batch(faces, bodies, skip=skip)
-        pred_years.extend(normalizer.denormalize(age_norm.data).tolist())
+        years = check_finite(normalizer.denormalize(age_norm.data), "predicted ages")
+        check_finite(logits, "predicted gender logits")
+        pred_years.extend(years.tolist())
         pred_gender.extend("male" if row[0] >= row[1] else "female" for row in logits.data)
 
     target_years = [rec.age for rec, _ in kept]

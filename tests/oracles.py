@@ -373,15 +373,20 @@ def fused_linear_oracle(x, w, b):
 
 
 def gelu_oracle(a):
-    """Exact GELU node transcribed from the formula, every temporary out of
-    place."""
-    e = T._erf(a.data * T._INV_SQRT2)
+    """Tanh-form GELU node transcribed from the formula, every temporary out
+    of place: t = tanh(sqrt(2/pi) (x + 0.044715 x^3)) with x clamped to +-10
+    inside the cubic, and its exact derivative with 1 - t taken as
+    2 - (1 + t)."""
+    x = a.data
+    xc = np.clip(x, -10.0, 10.0)
+    one_plus_t = 1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (xc + 0.044715 * (xc * xc * xc)))
+    out = 0.5 * x * one_plus_t
 
     def backward(g):
-        d = 0.5 * (1.0 + e) + a.data * np.exp(-0.5 * a.data * a.data) * T._INV_SQRT2PI
-        return (g * d,)
+        slope = 1.0 + 3.0 * 0.044715 * (xc * xc)
+        return (g * (0.5 * one_plus_t + out * (2.0 - one_plus_t) * math.sqrt(2.0 / math.pi) * slope),)
 
-    return T._emit(0.5 * a.data * (1.0 + e), (a,), backward)
+    return T._emit(out, (a,), backward)
 
 
 def dropout_oracle(x, ctx):

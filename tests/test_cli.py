@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from agegender.cli import main
-from agegender.config import micro_config
+from agegender.config import micro_config, tiny_config
 from agegender.checkpoint import save_model
 from agegender.data import (
     read_sample_manifest,
@@ -135,6 +135,22 @@ def test_eval_non_finite_weight_is_numerical_failure(value, eval_inputs, tmp_pat
     blob = blob[:-8] + np.array([value], dtype="<f8").tobytes()
     assert _eval_code(eval_inputs, blob, tmp_path) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_eval_non_finite_prediction_is_numerical_failure(tmp_path, capsys):
+    # finite float32 weights whose head overflows to inf, then nan: the
+    # checkpoint saves and loads cleanly, the predictions do not
+    run(["synth", "--n", "4", "--out", str(tmp_path / "data")])
+    model = FaceBodyModel(tiny_config())
+    for name in ("head.fc1.weight", "head.fc2.weight"):
+        model.params[name].data *= np.float32(3e37)
+        assert np.isfinite(model.params[name].data).all()
+    save_model(tmp_path / "model.ckpt", model)
+    argv = ["eval", "--manifest", str(tmp_path / "data" / "manifest.jsonl"), "--checkpoint", str(tmp_path / "model.ckpt")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv + ["--mode", "both"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("numerical failure: ") and "non-finite" in err and "mae" not in out
 
 
 def test_train_unknown_config_key_is_input_error(tmp_path):
@@ -350,6 +366,15 @@ def test_aggregate_max_likelihood_overflow_is_numerical_failure(tmp_path, capsys
     assert run(["aggregate", "--votes", str(votes), "--method", "max_likelihood",
                 "--out", str(tmp_path / "o.jsonl")]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+@pytest.mark.parametrize("task", ["a\nb", "\x85", "t\u2028", "\r\n"])
+def test_error_naming_a_task_with_line_breaks_is_one_line(task, tmp_path, capsys):
+    votes = tmp_path / "votes.jsonl"
+    votes.write_text(json.dumps({"task": task, "user": "u1"}) + "\n")
+    assert run(["aggregate", "--votes", str(votes), "--method", "mean", "--out", str(tmp_path / "o.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: task ") and err.endswith(": no votes\n")
 
 
 def test_aggregate_null_age_is_no_vote(tmp_path):

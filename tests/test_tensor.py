@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from oracles import (
     attention_oracle,
@@ -152,6 +153,23 @@ def test_gelu_grad():
     rng = np.random.default_rng(4)
     x = parameter(rng.standard_normal(10))
     fd_check(lambda: T.gelu(x).sum(), {"x": x}, tol=1e-6)
+
+
+def test_gelu_is_the_exact_gelu_within_4_8e_4():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80001), [1e-30, -1e-30, 40.0, -40.0, 0.0]])
+    exact = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    assert np.abs(T.gelu(constant(x)).data - exact).max() <= 4.8e-4
+
+
+@pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e200)])
+def test_gelu_of_huge_inputs_is_x_or_minus_zero_with_gradient_1_or_0(dtype, big):
+    x = parameter(np.array([big, -big], dtype=dtype))
+    with Tape() as tape:
+        out = T.gelu(x)
+        tape.backward(out.sum())
+    assert out.data.dtype == dtype and out.data[0] == x.data[0]
+    assert out.data[1] == 0.0 and np.signbit(out.data[1])
+    assert x.grad.tobytes() == np.array([1.0, 0.0], dtype=dtype).tobytes()
 
 
 def test_add_mul_broadcast_grads():
@@ -329,16 +347,74 @@ def _taped_run(fn, arrays, weight):
     return out, inputs
 
 
+def _assert_close(got, want, rtol):
+    # elementwise relative, with a floor of rtol times the largest |want|
+    # for entries near zero
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
 @pytest.mark.parametrize("case", sorted(FUSED))
 def test_fused_op_is_bitwise_its_composite(case):
+    # outlook attention sums its windows through one L x L mixing matrix,
+    # in another order than the composite's fold: it is held to the
+    # composite within 1e-12 relative, values and both gradients
     fused, oracle, _ = FUSED[case]
     arrays, rng = _fused_inputs(case, 20)
     weight = rng.standard_normal(oracle(*map(constant, arrays)).shape)
     got, got_inputs = _taped_run(fused, arrays, weight)
     want, want_inputs = _taped_run(oracle, arrays, weight)
+    if case.startswith("outlook"):
+        _assert_close(got.data, want.data, 1e-12)
+        for g, w in zip(got_inputs, want_inputs):
+            _assert_close(g.grad, w.grad, 1e-12)
+        return
     assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
     for g, w in zip(got_inputs, want_inputs):
         assert g.grad.shape == w.grad.shape and g.grad.tobytes() == w.grad.tobytes()
+
+
+OUTLOOK_CASES = sorted(case for case in FUSED if case.startswith("outlook"))
+
+
+@pytest.mark.parametrize("case", OUTLOOK_CASES)
+def test_outlook_attention_in_float32_is_the_composite_within_1e_5(case):
+    fused, oracle, _ = FUSED[case]
+    arrays, rng = _fused_inputs(case, 30)
+    arrays = [a.astype(np.float32) for a in arrays]
+    weight = rng.standard_normal(arrays[1].shape).astype(np.float32)
+    got, got_inputs = _taped_run(fused, arrays, weight)
+    want, want_inputs = _taped_run(oracle, [a.astype(np.float64) for a in arrays], weight.astype(np.float64))
+    assert got.data.dtype == np.float32
+    _assert_close(got.data, want.data, 1e-5)
+    for g, w in zip(got_inputs, want_inputs):
+        assert g.grad.dtype == np.float32
+        _assert_close(g.grad, w.grad, 1e-5)
+
+
+# (logits, values, upstream weight) dtypes: one float32 and one float64
+# operand
+OUTLOOK_MIXED = [
+    (np.float32, np.float64, np.float64),
+    (np.float64, np.float32, np.float64),
+    (np.float32, np.float64, np.float32),
+    (np.float64, np.float32, np.float32),
+]
+
+
+@pytest.mark.parametrize("dtypes", OUTLOOK_MIXED)
+def test_outlook_attention_with_mixed_dtypes_promotes_as_the_composite(dtypes):
+    fused, oracle, _ = FUSED["outlook_2_heads"]
+    arrays, rng = _fused_inputs("outlook_2_heads", 31)
+    arrays = [a.astype(dtype) for a, dtype in zip(arrays, dtypes)]
+    weight = rng.standard_normal(arrays[1].shape).astype(dtypes[2])
+    got, got_inputs = _taped_run(fused, arrays, weight)
+    want, want_inputs = _taped_run(oracle, arrays, weight)
+    assert got.data.dtype == want.data.dtype == np.float64
+    _assert_close(got.data, want.data, 1e-5)
+    for g, w in zip(got_inputs, want_inputs):
+        assert g.grad.dtype == w.grad.dtype
+        _assert_close(g.grad, w.grad, 1e-5)
 
 
 # k=5 puts 25-wide softmax rows in the logits' gradient, and some entries
