@@ -65,8 +65,7 @@ def cmd_pair(args):
     rows = []
     for entry in entries:
         image_path = entry["image"]
-        resolved = image_path if os.path.isabs(image_path) else os.path.join(root, image_path)
-        image = load_image(resolved)
+        image = load_image(os.path.join(root, image_path))
         height, width = image.shape[:2]
         dets = entry["detections"]
         for k, d in enumerate(dets):
@@ -93,17 +92,8 @@ def cmd_pair(args):
                 dets,
                 self_indices,
             )
-            if record["face_bbox"] is None and record["body_bbox"] is None:
-                continue
-            rows.append(
-                {
-                    "image": image_path,
-                    "face_bbox": record["face_bbox"],
-                    "body_bbox": record["body_bbox"],
-                    "face_offset": record["face_offset"],
-                    "body_offset": record["body_offset"],
-                }
-            )
+            if record["face_bbox"] is not None or record["body_bbox"] is not None:
+                rows.append({"image": image_path, **record})
     write_pair_manifest(args.out, rows)
     print(f"wrote {len(rows)} pair records to {args.out}")
     return 0

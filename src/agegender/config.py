@@ -46,6 +46,10 @@ _PROBABILITY_FIELDS = (
     "erase_prob",
 )
 
+# int fields that may be 0; every other int is a size, count or head
+# number and must be at least 1
+_MAY_BE_ZERO = ("outlooker_blocks", "transformer_blocks", "warmup_steps", "max_steps", "seed")
+
 # field annotation (a string: annotations are postponed here) -> accepted
 # value types; bools are rejected as numbers
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
@@ -114,6 +118,9 @@ class ModelConfig:
             v = getattr(self, field.name)
             if isinstance(v, bool) != (field.type == "bool") or not isinstance(v, _FIELD_TYPES[field.type]):
                 raise ConfigError(f"{field.name} must be {field.type}, got {v!r}")
+            low = 0 if field.name in _MAY_BE_ZERO else 1
+            if field.type == "int" and v < low:
+                raise ConfigError(f"{field.name} must be at least {low}, got {v}")
         for name in _PROBABILITY_FIELDS:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

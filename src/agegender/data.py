@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .pairing import BBox, Detection
-
-GENDERS = ("male", "female")
+from .votes import GENDERS
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,20 @@ def _bbox_or_none(value, where):
         return None
     try:
         return BBox(*(int(v) for v in value))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
         raise InputError(f"{where}: bad bbox {value!r}") from exc
+
+
+def _file_name(row, where):
+    """`row["image"]` if it is a name a file can have, else InputError."""
+    image = row["image"]
+    if isinstance(image, str) and image and "\0" not in image:
+        try:
+            os.fsencode(image)  # a lone surrogate has no bytes to open
+            return image
+        except UnicodeError:
+            pass
+    raise InputError(f"{where}: image must be a file name, got {image!r}")
 
 
 def write_sample_manifest(path, records):
@@ -193,20 +204,30 @@ def write_sample_manifest(path, records):
 
 
 def read_sample_manifest(path):
+    """[SampleRecord, ...]
+
+    A row that is not an object, lacks a field, has an image that is not a
+    file name, a bbox that is neither null nor four integer coordinates,
+    or an age that is not a finite number raises InputError naming
+    `path:line`.
+    """
     records = []
     for i, row in _read_ndjson(path):
+        where = f"{path}:{i}"
         try:
+            if not isinstance(row, dict):
+                raise InputError(f"{where}: a row must be an object, got {row!r}")
             records.append(
                 SampleRecord(
-                    image=row["image"],
-                    face_bbox=_bbox_or_none(row.get("face_bbox"), f"{path}:{i}"),
-                    body_bbox=_bbox_or_none(row.get("body_bbox"), f"{path}:{i}"),
-                    age=float(row["age"]),
+                    image=_file_name(row, where),
+                    face_bbox=_bbox_or_none(row.get("face_bbox"), where),
+                    body_bbox=_bbox_or_none(row.get("body_bbox"), where),
+                    age=_finite(row["age"], "age", path, i),
                     gender=row["gender"],
                 )
             )
         except KeyError as exc:
-            raise InputError(f"{path}:{i}: missing field {exc}") from exc
+            raise InputError(f"{where}: missing field {exc}") from exc
     if not records:
         raise InputError(f"{path}: empty manifest")
     return records
@@ -228,8 +249,8 @@ def _detection(d, where):
 def read_detection_manifest(path):
     """[{image, detections: [Detection, ...]}, ...]
 
-    A row that is not an object, lacks a field, has a non-string image or a
-    non-list detections value, or holds a detection that is not an object
+    A row that is not an object, lacks a field, has an image that is not a
+    file name or a non-list detections value, or holds a detection that is not an object
     with coordinates that convert to integers, a known kind and a score in
     [0, 1] raises InputError naming `path:line`.
     """
@@ -239,9 +260,7 @@ def read_detection_manifest(path):
         try:
             if not isinstance(row, dict):
                 raise InputError(f"{where}: a row must be an object, got {row!r}")
-            image, dets = row["image"], row["detections"]
-            if not isinstance(image, str) or not image or "\0" in image:
-                raise InputError(f"{where}: image must be a file name, got {image!r}")
+            image, dets = _file_name(row, where), row["detections"]
             if not isinstance(dets, list):
                 raise InputError(f"{where}: detections must be a list, got {dets!r}")
             out.append({"image": image, "detections": [_detection(d, where) for d in dets]})

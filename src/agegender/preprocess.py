@@ -34,13 +34,14 @@ def crop_image(image, bbox: BBox):
 def detach_objects(body: BBox, crop, others, fill=CHANNEL_MEAN):
     """Fill every crop pixel covered by any other detection's box.
 
-    `crop` was extracted at `body`; `others` are detections to erase
-    (any intersection counts, regardless of size). Returns a new image.
+    `crop` (a copy or a view of the image) was extracted at `body`;
+    `others` are the detections to erase (any intersection counts,
+    regardless of size). Returns a new image; `crop` is not written.
     """
     out = crop.copy()
     h, w = out.shape[:2]
     for det in others:
-        b = det.bbox if hasattr(det, "bbox") else det
+        b = det.bbox
         x0 = max(b.x0 - body.x0, 0)
         y0 = max(b.y0 - body.y0, 0)
         x1 = min(b.x1 - body.x0, w)
@@ -186,37 +187,30 @@ def prepare_crop(image, bbox: BBox, target):
 
 
 def build_pair_record(image, face_bbox, body_bbox, detections, self_indices):
-    """Full body/face preprocessing for one matched pair (or single).
+    """The `pairs.jsonl` fields for one matched pair (or single).
 
-    Applies occluder removal against every *other* detection, then trims
-    and size-filters the body side. Returns a dict with post-trim boxes in
-    source-image coordinates plus retained offsets, or None entries for
-    sides that got discarded.
+    The face side is only located: its box clamped to the image, offset
+    [0, 0]. The body side erases every *other* detection (those not in
+    `self_indices`) from its clamped box, then trims and size-filters it.
+    Returns {face_bbox, body_bbox, face_offset, body_offset} in that key
+    order: post-trim boxes in source-image coordinates plus retained
+    offsets, or None for a side that is absent or got discarded.
     """
     h, w = image.shape[:2]
-    others = [d for i, d in enumerate(detections) if i not in self_indices]
     record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
 
     if face_bbox is not None:
-        fb = face_bbox.clamped(w, h)
-        face_crop, fb = crop_image(image, fb)
-        face_crop = detach_objects(fb, face_crop, others)
-        record["face_bbox"] = fb.as_list()
+        record["face_bbox"] = face_bbox.clamped(w, h).as_list()
         record["face_offset"] = [0, 0]
-        record["face_crop"] = face_crop
 
     if body_bbox is not None:
         bb = body_bbox.clamped(w, h)
-        body_crop, bb = crop_image(image, bb)
-        body_crop = detach_objects(bb, body_crop, others)
-        trimmed, offset = trim(body_crop)
-        if trimmed is None or not discard_if_small(trimmed, bb):
-            record["body_bbox"] = None
-        else:
+        others = [d for i, d in enumerate(detections) if i not in self_indices]
+        trimmed, offset = trim(detach_objects(bb, image[bb.y0:bb.y1, bb.x0:bb.x1], others))
+        if trimmed is not None and discard_if_small(trimmed, bb):
             ox, oy = offset
             th, tw = trimmed.shape[:2]
             record["body_bbox"] = [bb.x0 + ox, bb.y0 + oy, bb.x0 + ox + tw, bb.y0 + oy + th]
             record["body_offset"] = [ox, oy]
-            record["body_crop"] = trimmed
 
     return record

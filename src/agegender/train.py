@@ -8,6 +8,7 @@ metrics log can be compared as text.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from typing import List
@@ -40,18 +41,11 @@ class TrainResult:
     log_lines: List[str] = field(default_factory=list)
 
 
-class _ImageCache:
-    """Desk-scale datasets fit in memory; load each file once."""
-
-    def __init__(self, root):
-        self.root = root
-        self._cache = {}
-
-    def get(self, name):
-        if name not in self._cache:
-            path = name if os.path.isabs(name) else os.path.join(self.root, name)
-            self._cache[name] = load_image(path)
-        return self._cache[name]
+def _image_loader(manifest_path):
+    """Desk-scale datasets fit in memory: load each file, named relative
+    to the manifest's directory, once."""
+    root = os.path.dirname(os.path.abspath(manifest_path))
+    return functools.cache(lambda name: load_image(os.path.join(root, name)))
 
 
 def _validate_ages(records, config):
@@ -86,7 +80,7 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
     )
     optimizer = AdamW(model.params, config, frozen=model.frozen)
     rng = np.random.default_rng(config.seed)
-    images = _ImageCache(os.path.dirname(os.path.abspath(manifest_path)))
+    image_of = _image_loader(manifest_path)
 
     n = len(records)
     batch = min(config.batch_size, n)
@@ -107,7 +101,7 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
         labels = []
         weights = []
         for rec in picked:
-            pair = augment(rec, images.get(rec.image), rng, config)
+            pair = augment(rec, image_of(rec.image), rng, config)
             pair = input_dropout(pair, rng, config)
             pairs.append(pair)
             targets.append(normalizer.normalize(rec.age))
@@ -156,29 +150,14 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
 # evaluation
 
 
-def _record_pair_for_mode(rec, image, mode, side):
-    """Build the masked CropPair for one record, or None to skip it."""
-    face = rec.face_bbox if mode in ("face", "both") else None
-    body = rec.body_bbox if mode in ("body", "both") else None
-    if mode == "face" and face is None:
-        return None
-    if mode == "body" and body is None:
-        return None
-    if mode == "both" and (rec.face_bbox is None or rec.body_bbox is None):
-        return None
-    return CropPair(
-        face=prepare_crop(image, face, side) if face else None,
-        body=prepare_crop(image, body, side) if body else None,
-    )
-
-
 def evaluate(manifest_path, model_or_checkpoint, mode="both"):
     """Metrics report for one evaluation mode.
 
     Modes mask the complementary input; records lacking a required side
     are skipped and counted, mirroring the three-column test protocol.
-    A non-finite predicted age or gender logit raises NumericalError.
-    Returns (report dict, skipped count).
+    A skipped record is decided from its boxes alone: its image is never
+    read. A non-finite predicted age or gender logit raises
+    NumericalError. Returns (report dict, skipped count).
     """
     if mode not in EVAL_MODES:
         raise InputError(f"unknown eval mode {mode!r} (want face, body or both)")
@@ -189,15 +168,22 @@ def evaluate(manifest_path, model_or_checkpoint, mode="both"):
     records = read_sample_manifest(manifest_path)
     _validate_ages(records, config)
     normalizer = AgeNormalizer.from_config(config)
-    images = _ImageCache(os.path.dirname(os.path.abspath(manifest_path)))
+    image_of = _image_loader(manifest_path)
 
+    use_face, use_body = mode != "body", mode != "face"
     kept = []
     skipped = 0
     for rec in records:
-        pair = _record_pair_for_mode(rec, images.get(rec.image), mode, config.image_side)
-        if pair is None:
+        face = rec.face_bbox if use_face else None
+        body = rec.body_bbox if use_body else None
+        if (use_face and face is None) or (use_body and body is None):
             skipped += 1
             continue
+        image = image_of(rec.image)
+        pair = CropPair(
+            face=prepare_crop(image, face, config.image_side) if face else None,
+            body=prepare_crop(image, body, config.image_side) if body else None,
+        )
         kept.append((rec, pair))
     if not kept:
         raise InputError(f"no records usable in mode {mode!r}")

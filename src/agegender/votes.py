@@ -187,14 +187,6 @@ def baseline_aggregate(votes, method):
     raise InputError(f"unknown aggregation method {method!r}")
 
 
-def aggregate_age(votes, user_maes=None, method="weighted_mean"):
-    if method == "weighted_mean":
-        if user_maes is None:
-            raise InputError("weighted_mean needs per-user control MAEs")
-        return weighted_mean_age(votes, user_maes)
-    return baseline_aggregate(votes, method)
-
-
 # ---------------------------------------------------------------------------
 # gender aggregation
 

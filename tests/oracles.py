@@ -7,7 +7,7 @@ are the composites of generic ops (unfold, fold, softmax, matmul, reshape,
 transpose) they replace, which have finite-difference tests of their own;
 the per-task vote aggregation and full-range KDE grid, kept as the
 references the columnar and windowed versions must equal bit for bit; and
-the straightforward crop preprocessing, augmentation, softmax, GELU,
+the straightforward crop and pair preprocessing, augmentation, softmax, GELU,
 out-of-place `linear` and dropout masks, which their leaner replacements
 must equal bit for bit.
 """
@@ -22,7 +22,7 @@ from agegender import tensor as T
 from agegender.augment import jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair
-from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image
+from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image, detach_objects, discard_if_small, trim
 from agegender.votes import GENDERS, MAE_FLOOR, VoteRecord, baseline_aggregate
 
 KDE_BANDWIDTH = 2.0
@@ -325,6 +325,40 @@ def prepare_crop_oracle(image, bbox, target):
     """Copied crop -> letterbox -> normalize, all through the oracles."""
     crop, _ = crop_image(image, bbox)
     return normalize_channels_oracle(letterbox_oracle(crop, target))
+
+
+def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indices):
+    """Pair preprocessing that builds both sides in full, as `pair` once
+    did: the face and body crops are clamped twice, copied and
+    occluder-filled, the body trimmed and size-filtered, and the crops are
+    stored beside the boxes and offsets."""
+    h, w = image.shape[:2]
+    others = [d for i, d in enumerate(detections) if i not in self_indices]
+    record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
+
+    if face_bbox is not None:
+        fb = face_bbox.clamped(w, h)
+        face_crop, fb = crop_image(image, fb)
+        face_crop = detach_objects(fb, face_crop, others)
+        record["face_bbox"] = fb.as_list()
+        record["face_offset"] = [0, 0]
+        record["face_crop"] = face_crop
+
+    if body_bbox is not None:
+        bb = body_bbox.clamped(w, h)
+        body_crop, bb = crop_image(image, bb)
+        body_crop = detach_objects(bb, body_crop, others)
+        trimmed, offset = trim(body_crop)
+        if trimmed is None or not discard_if_small(trimmed, bb):
+            record["body_bbox"] = None
+        else:
+            ox, oy = offset
+            th, tw = trimmed.shape[:2]
+            record["body_bbox"] = [bb.x0 + ox, bb.y0 + oy, bb.x0 + ox + tw, bb.y0 + oy + th]
+            record["body_offset"] = [ox, oy]
+            record["body_crop"] = trimmed
+
+    return record
 
 
 def augment_oracle(record, image, rng, config):

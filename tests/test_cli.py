@@ -173,6 +173,18 @@ def test_train_unknown_config_key_is_input_error(tmp_path):
         ("learning_rate", "null"),
         ("enhancer_bidirectional", "1"),
         ("pool", "3"),
+        # sizes, counts and head numbers the model cannot run
+        ("patch_size", "0"),
+        ("batch_size", "0"),
+        ("outlook_heads", "0"),
+        ("attn_heads", "0"),
+        ("log_every", "0"),
+        ("batch_size", "-4"),
+        ("stage1_width", "0"),
+        ("mlp_ratio", "0"),
+        ("head_hidden", "0"),
+        ("seed", "-1"),
+        ("max_steps", "-1"),
     ],
 )
 def test_train_wrong_config_type_is_input_error(name, value, tmp_path, capsys):
@@ -182,7 +194,33 @@ def test_train_wrong_config_type_is_input_error(name, value, tmp_path, capsys):
                 "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err
+    assert err.startswith("error: ") and name in err and len(err.splitlines()) == 1
+
+
+GOOD_SAMPLE = {"image": "sample_00000.ppm", "face_bbox": [32, 8, 64, 40], "body_bbox": None, "age": 30.0, "gender": "male"}
+
+MALFORMED_SAMPLES = {
+    "row_not_object": [1, 2],
+    "age_not_number": {**GOOD_SAMPLE, "age": "abc"},
+    "age_null": {**GOOD_SAMPLE, "age": None},
+    "image_not_string": {**GOOD_SAMPLE, "image": 5},
+    "image_with_nul": {**GOOD_SAMPLE, "image": "a\0.ppm"},
+    "image_with_lone_surrogate": {**GOOD_SAMPLE, "image": "\ud800.ppm"},
+    "bbox_overflows": {**GOOD_SAMPLE, "face_bbox": [0, 0, float("inf"), 5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SAMPLES))
+def test_eval_malformed_sample_manifest_is_input_error(case, eval_inputs, tmp_path, capsys):
+    # the bad row is line 2; "inf" is written as 1e400, which JSON reads as inf
+    manifest = tmp_path / "manifest.jsonl"
+    bad = json.dumps(MALFORMED_SAMPLES[case]).replace("Infinity", "1e400")
+    manifest.write_text(json.dumps(GOOD_SAMPLE) + "\n" + bad + "\n")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(eval_inputs[1])
+    assert run(["eval", "--manifest", str(manifest), "--checkpoint", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.jsonl:2: " in err and len(err.splitlines()) == 1
 
 
 def test_eval_directory_as_checkpoint_is_input_error(eval_inputs, tmp_path, capsys):

@@ -1,11 +1,11 @@
-"""Mutated `pair` and `aggregate` inputs through the command line.
+"""Mutated `pair`, `aggregate` and `eval` inputs through the command line.
 
-Fields and rows of detection manifests, votes and controls, the header
-and payload length of PPM images, and the dtype, shape, values and length
-of `.npy` images, are mutated at random. Every case must
-exit 0, 1 or 2 without an exception escaping `cli.main`; a run that exits
-0 must write strict JSON (no NaN or Infinity), and any other exit must
-print its reason.
+Fields and rows of detection manifests, votes, controls and sample
+manifests, the header and payload length of PPM images, and the dtype,
+shape, values and length of `.npy` images, are mutated at random. Every
+case must exit 0, 1 or 2 without an exception escaping `cli.main`; a run
+that exits 0 must write strict JSON (no NaN or Infinity), and any other
+exit must print its reason.
 """
 
 import contextlib
@@ -20,8 +20,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agegender.checkpoint import save_model
 from agegender.cli import main
-from agegender.data import write_ppm
+from agegender.config import micro_config
+from agegender.data import generate_synthetic_dataset, write_ppm
+from agegender.fusion import FaceBodyModel
 
 SCENE_W, SCENE_H = 40, 30
 
@@ -193,6 +196,36 @@ def _aggregate(votes_text, controls_text):
               "--out", out, "--user-report", report], [out, report])
 
 
+def _eval_files():
+    """Two synthetic images by name, their sample rows plus a face-only
+    and a body-only row, and the bytes of an untrained micro checkpoint."""
+    with tempfile.TemporaryDirectory() as work:
+        with open(generate_synthetic_dataset(work, 2, seed=0)) as fh:
+            rows = [json.loads(line) for line in fh]
+        save_model(os.path.join(work, "model.ckpt"), FaceBodyModel(micro_config()))
+        blobs = {}
+        for name in [row["image"] for row in rows] + ["model.ckpt"]:
+            with open(os.path.join(work, name), "rb") as fh:
+                blobs[name] = fh.read()
+    rows += [{**rows[0], "body_bbox": None}, {**rows[1], "face_bbox": None}]
+    return rows, blobs
+
+
+SAMPLES, EVAL_BLOBS = _eval_files()
+
+
+def _eval(samples_text, mode):
+    with tempfile.TemporaryDirectory() as work:
+        for name, blob in EVAL_BLOBS.items():
+            with open(os.path.join(work, name), "wb") as fh:
+                fh.write(blob)
+        manifest = os.path.join(work, "manifest.jsonl")
+        with open(manifest, "w") as fh:
+            fh.write(samples_text)
+        _run(["eval", "--manifest", manifest, "--checkpoint", os.path.join(work, "model.ckpt"),
+              "--mode", mode], [])
+
+
 def _ndjson(rows):
     return "".join(json.dumps(row) + "\n" for row in rows)
 
@@ -225,3 +258,9 @@ def test_aggregate_survives_mutated_votes(text):
 @given(mutated_ndjson(CONTROLS))
 def test_aggregate_survives_mutated_controls(text):
     _aggregate(_ndjson(VOTES), text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_ndjson(SAMPLES), st.sampled_from(["face", "body", "both"]))
+def test_eval_survives_mutated_sample_manifest(text, mode):
+    _eval(text, mode)

@@ -4,6 +4,7 @@ import pytest
 from oracles import (
     augment_oracle,
     bilinear_resize_oracle,
+    build_pair_record_oracle,
     letterbox_oracle,
     normalize_channels_oracle,
     prepare_crop_oracle,
@@ -14,7 +15,7 @@ from agegender.augment import augment
 from agegender.config import tiny_config
 from agegender.data import SampleRecord, load_image
 from agegender.errors import InputError
-from agegender.pairing import BBox, Detection
+from agegender.pairing import BBox, Detection, assign
 from agegender.preprocess import (
     CHANNEL_MEAN,
     bilinear_resize,
@@ -381,14 +382,16 @@ def test_pipeline_never_enlarges_and_offsets_compose():
     x0, y0, x1, y1 = bb
     assert x1 - x0 <= 100 and y1 - y0 <= 160  # never enlarged
     assert 20 <= x0 and x1 <= 120 and 20 <= y0 and y1 <= 180  # inside original
-    # offsets compose: re-cropping the source at the post-trim bbox must
-    # reproduce the trimmed crop exactly
+    # offsets compose: the record's box is the box trim gives on the
+    # detached crop, and re-cropping that crop at it reproduces the trim
     ox, oy = record["body_offset"]
     assert (x0, y0) == (20 + ox, 20 + oy)
     body_crop, _ = crop_image(image, BBox(20, 20, 120, 180))
     body_crop = detach_objects(BBox(20, 20, 120, 180), body_crop, [detections[2]])
-    trimmed, _ = trim(body_crop)
-    np.testing.assert_array_equal(record["body_crop"], trimmed)
+    trimmed, (tx, ty) = trim(body_crop)
+    th, tw = trimmed.shape[:2]
+    assert bb == [20 + tx, 20 + ty, 20 + tx + tw, 20 + ty + th]
+    np.testing.assert_array_equal(body_crop[y0 - 20:y1 - 20, x0 - 20:x1 - 20], trimmed)
 
 
 def test_pipeline_discards_destroyed_body():
@@ -398,3 +401,57 @@ def test_pipeline_discards_destroyed_body():
     occluder = Detection(BBox(0, 0, 40, 95), "person")  # leaves a 5-row sliver
     record = build_pair_record(image, None, body.bbox, [body, occluder], self_indices={0})
     assert record["body_bbox"] is None
+
+
+def _crowded_scene(rng, people=24, w=320, h=240):
+    """Overlapping people as noisy colour blocks, each with a face box in
+    the top of its person box; about one in five is seen by face only and
+    one in eight by body only. Returns (image, detections)."""
+    image = rng.uniform(0.2, 0.8, (h, w, 3))
+    detections = []
+    for _ in range(people):
+        pw = int(rng.integers(30, 60))
+        ph = min(h - 4, int(pw * rng.uniform(2.0, 2.8)))
+        x0, y0 = int(rng.integers(0, w - pw)), int(rng.integers(0, h - ph))
+        image[y0:y0 + ph, x0:x0 + pw] = rng.uniform(0.1, 0.9, 3) + rng.normal(0.0, 0.05, (ph, pw, 3))
+        side = max(6, int(pw * rng.uniform(0.3, 0.45)))
+        fx0, fy0 = x0 + (pw - side) // 2, y0 + int(ph * rng.uniform(0.02, 0.08))
+        seen = rng.random()
+        if seen >= 0.125:
+            detections.append(Detection(BBox(fx0, fy0, fx0 + side, fy0 + side), "face"))
+        if seen < 0.8:
+            detections.append(Detection(BBox(x0, y0, x0 + pw, y0 + ph), "person"))
+    return np.clip(image, 0.0, 1.0), detections
+
+
+def test_pair_record_is_the_oracle_boxes_on_crowded_scenes():
+    # every unit `pair` builds from a crowd, matched or single
+    keys = ["face_bbox", "body_bbox", "face_offset", "body_offset"]
+    kinds = {"trimmed": 0, "discarded": 0, "face only": 0}
+    for seed in range(6):
+        image, dets = _crowded_scene(np.random.default_rng([seed, 2]))
+        h, w = image.shape[:2]
+        face_idx = [i for i, d in enumerate(dets) if d.kind == "face"]
+        person_idx = [i for i, d in enumerate(dets) if d.kind == "person"]
+        result = assign([dets[i].bbox for i in face_idx], [dets[j].bbox for j in person_idx])
+        units = [(face_idx[i], person_idx[j]) for i, j in result.pairs]
+        units += [(face_idx[i], None) for i in result.unmatched_faces]
+        units += [(None, person_idx[j]) for j in result.unmatched_persons]
+        for fi, pi in units:
+            args = (
+                image,
+                dets[fi].bbox if fi is not None else None,
+                dets[pi].bbox if pi is not None else None,
+                dets,
+                {i for i in (fi, pi) if i is not None},
+            )
+            record, want = build_pair_record(*args), build_pair_record_oracle(*args)
+            assert list(record) == keys
+            assert record == {k: want[k] for k in keys}
+            if pi is None:
+                kinds["face only"] += 1
+            elif record["body_bbox"] is None:
+                kinds["discarded"] += 1
+            elif record["body_bbox"] != dets[pi].bbox.clamped(w, h).as_list():
+                kinds["trimmed"] += 1
+    assert min(kinds.values()) > 0, kinds

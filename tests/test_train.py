@@ -11,9 +11,11 @@ from agegender.config import micro_config, tiny_config
 from agegender.data import (
     SampleRecord,
     generate_synthetic_dataset,
+    read_sample_manifest,
     write_sample_manifest,
 )
 from agegender.errors import InputError
+from agegender.fusion import FaceBodyModel
 from agegender.pairing import BBox
 from agegender.train import TrainResult, evaluate, train
 
@@ -103,6 +105,20 @@ def test_evaluate_modes_mask_and_skip(tmp_path):
     assert by_mode["face"][0]["n"] == 5
     assert by_mode["both"][0]["n"] == 4
     assert by_mode["face"][0]["mode"] == "face"
+
+
+def test_evaluate_never_reads_the_image_of_a_skipped_record(tmp_path):
+    manifest = generate_synthetic_dataset(tmp_path, 4, seed=2)
+    records = read_sample_manifest(manifest)
+    faceless = SampleRecord("missing.ppm", None, BBox(0, 40, 96, 96), 30.0, "male")
+    with_faceless = tmp_path / "with_faceless.jsonl"
+    write_sample_manifest(with_faceless, records + [faceless])
+    model = FaceBodyModel(micro_config())
+    report, skipped = evaluate(with_faceless, model, mode="face")
+    assert skipped == 1
+    assert report == {**evaluate(manifest, model, mode="face")[0], "skipped": 1}
+    with pytest.raises(FileNotFoundError, match="missing.ppm"):
+        evaluate(with_faceless, model, mode="body")
 
 
 def test_evaluate_unknown_mode(dataset, tmp_path):
