@@ -53,9 +53,16 @@ for name, err in per_param.items():
     print(f"  {name}: max relative error {err:.2e}")
 print(f"worst: {worst:.2e}  (threshold 1e-4)")
 
-print("\n== local windows: fold(unfold(x)) == x * overlap counts ==")
-img = constant(rng.random((1, 4, 4, 1)))
-back = T.fold(T.unfold(img, k=3, stride=1, pad=1), (4, 4), k=3, stride=1, pad=1)
-counts = T.overlap_counts(4, 4, k=3, stride=1, pad=1)
-print("overlap counts:\n", counts)
-print("max |fold(unfold(x)) - x*counts| =", np.abs(back.data[0, :, :, 0] - img.data[0, :, :, 0] * counts).max())
+print("\n== patches: space_to_depth cuts a grid into non-overlapping p x p blocks ==")
+img = constant(np.arange(16.0).reshape(1, 4, 4, 1))
+patches = T.space_to_depth(img, 2)  # [1, 4 tokens, 2*2*1 features]
+print("4x4 grid:\n", img.data[0, :, :, 0])
+print("2x2 patches, one token per row:\n", patches.data[0])
+
+print("\n== local windows: outlook attention over 3x3 windows ==")
+k = 3
+ones = constant(np.ones((1, 6, 6, 2)))
+equal = constant(np.zeros((1, 6, 6, k**4)))  # equal logits: each window row averages its 9 values
+out = T.outlook_attention(equal, ones, k=k, heads=1)
+print("on a grid of ones, zero padded, averaged over the windows covering each position:")
+print(np.round(out.data[0, :, :, 0], 3))

@@ -168,12 +168,15 @@ class SampleRecord:
 
 
 def _bbox_or_none(value, where):
+    """None, or a BBox from a list of four JSON integers (not bools)."""
     if value is None:
         return None
+    if not (isinstance(value, list) and len(value) == 4 and all(type(v) is int for v in value)):
+        raise InputError(f"{where}: bad bbox {value!r}: must be null or a list of four integers")
     try:
-        return BBox(*(int(v) for v in value))
-    except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
-        raise InputError(f"{where}: bad bbox {value!r}") from exc
+        return BBox(*value)
+    except InputError as exc:  # a degenerate box
+        raise InputError(f"{where}: bad bbox {value!r}: {exc}") from exc
 
 
 def _file_name(row, where):
@@ -207,9 +210,9 @@ def read_sample_manifest(path):
     """[SampleRecord, ...]
 
     A row that is not an object, lacks a field, has an image that is not a
-    file name, a bbox that is neither null nor four integer coordinates,
-    or an age that is not a finite number raises InputError naming
-    `path:line`.
+    file name, a bbox that is neither null nor a list of four JSON
+    integers, no bbox at all, an age that is not a finite number or an
+    unknown gender raises InputError naming `path:line`.
     """
     records = []
     for i, row in _read_ndjson(path):
@@ -217,17 +220,19 @@ def read_sample_manifest(path):
         try:
             if not isinstance(row, dict):
                 raise InputError(f"{where}: a row must be an object, got {row!r}")
-            records.append(
-                SampleRecord(
-                    image=_file_name(row, where),
-                    face_bbox=_bbox_or_none(row.get("face_bbox"), where),
-                    body_bbox=_bbox_or_none(row.get("body_bbox"), where),
-                    age=_finite(row["age"], "age", path, i),
-                    gender=row["gender"],
-                )
+            fields = (
+                _file_name(row, where),
+                _bbox_or_none(row.get("face_bbox"), where),
+                _bbox_or_none(row.get("body_bbox"), where),
+                _finite(row["age"], "age", path, i),
+                row["gender"],
             )
         except KeyError as exc:
             raise InputError(f"{where}: missing field {exc}") from exc
+        try:
+            records.append(SampleRecord(*fields))
+        except InputError as exc:  # no bbox, or an unknown gender
+            raise InputError(f"{where}: {exc}") from exc
     if not records:
         raise InputError(f"{path}: empty manifest")
     return records

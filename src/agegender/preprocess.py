@@ -61,8 +61,9 @@ def trim(crop, fill=CHANNEL_MEAN, threshold=TRIM_THRESHOLD):
 
     Repeatedly removes any outermost row/column whose filled-pixel
     fraction is >= threshold, until none qualifies (which makes the
-    operation idempotent). Returns (trimmed, (off_x, off_y)); a fully
-    trimmed crop returns (None, None).
+    operation idempotent). Returns (trimmed, (off_x, off_y)), where
+    `trimmed` is a view of `crop`, not a copy; a fully trimmed crop
+    returns (None, None).
 
     Cost: one O(h*w) pass for the mask and its row and column prefix
     sums, then O(1) per border test. Each fraction is count / length in
@@ -93,7 +94,7 @@ def trim(crop, fill=CHANNEL_MEAN, threshold=TRIM_THRESHOLD):
             changed = True
     if y1 <= y0 or x1 <= x0:
         return None, None
-    return crop[y0:y1, x0:x1].copy(), (x0, y0)
+    return crop[y0:y1, x0:x1], (x0, y0)
 
 
 def discard_if_small(crop, original: BBox, min_side=MIN_CROP_SIDE, min_area_fraction=MIN_AREA_FRACTION):

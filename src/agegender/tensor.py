@@ -6,23 +6,25 @@ its own thread's tape. Without an active tape ops only compute values,
 which doubles as the inference fast path.
 
 Three layers are fused ops, each one tape node with an analytic backward:
-`linear` (x @ W + b over N-d x), `outlook_attention` (VOLO's windowed
-attention, unfold -> softmax attention -> fold, averaged over overlaps)
-and `attention` (multi-head scaled dot-product attention). `linear` and
+`linear` (x @ W + b over N-d x), `outlook_attention` (VOLO's attention
+over overlapping k x k windows, averaged where they overlap) and
+`attention` (multi-head scaled dot-product attention). `linear` and
 `attention` keep the operand layouts and reduction axes of the generic-op
 composite they replace, so values and gradients are bitwise those of the
 composite. `outlook_attention` applies one L x L mixing matrix per image
-and head instead, which sums in another order.
+and head instead, which sums in another order. Patches and 2 x 2 token
+merges are `space_to_depth`, a re-layout of non-overlapping blocks.
 
 Storage is row-major. A float32 or float64 array is kept in its own
 dtype and every other input (lists, ints, bools, float16) becomes float64;
 ops compute in their operands' dtype, so a model whose parameters and
 constants are all float32 runs in float32 end to end. Constants such as
 Python floats never promote (NumPy 2 scalar rules). Structural ops
-(reshape, transpose, concat, narrow) still copy instead of aliasing:
-correctness over speed at desk scale. No op writes into an input buffer;
-an op may reuse a temporary of its own in place, in the operation order
-and result dtype of the out-of-place expression, so the bits are the same.
+(reshape, transpose, concat, narrow, space_to_depth) copy instead of
+aliasing: correctness over speed at desk scale. No op writes into an
+input buffer; an op may reuse a temporary of its own in place, in the
+operation order and result dtype of the out-of-place expression, so the
+bits are the same.
 """
 
 from __future__ import annotations
@@ -430,6 +432,25 @@ def narrow(a, axis, start, length):
     return _emit(a.data[index].copy(), (a,), backward)
 
 
+def space_to_depth(x, p):
+    """[B, H, W, C] -> [B, (H/p)*(W/p), p*p*C]: each p x p block of the grid,
+    in row-major block order, becomes one token with its features ordered
+    (di * p + dj) * C + c. One reshape-transpose copy; the backward is the
+    inverse permutation."""
+    if x.ndim != 4 or p < 1:
+        raise DimensionError(f"space_to_depth expects [B, H, W, C] and p >= 1, got {x.shape} and p={p}")
+    b, h, w, c = x.shape
+    if h % p or w % p:
+        raise DimensionError(f"space_to_depth: a {h}x{w} grid is not divisible by {p}")
+    nh, nw = h // p, w // p
+
+    def backward(g):
+        return (g.reshape(b, nh, nw, p, p, c).transpose(0, 1, 3, 2, 4, 5).reshape(x.shape),)
+
+    blocks = x.data.reshape(b, nh, p, nw, p, c).transpose(0, 1, 3, 2, 4, 5).copy()
+    return _emit(blocks.reshape(b, nh * nw, p * p * c), (x,), backward)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -542,99 +563,6 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# local windows (outlook attention, patch extraction)
-
-
-def _window_geometry(h, w, k, stride, pad):
-    if k < 1 or stride < 1 or pad < 0:
-        raise DimensionError(f"bad window geometry k={k} stride={stride} pad={pad}")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if k > hp or k > wp or (hp - k) % stride or (wp - k) % stride:
-        raise DimensionError(
-            f"window k={k} stride={stride} pad={pad} does not tile a {h}x{w} input"
-        )
-    return (hp - k) // stride + 1, (wp - k) // stride + 1
-
-
-def _gather_windows(xp, k, stride, nh, nw):
-    # xp: [B, hp, wp, C] -> [B, L, k*k, C]: a strided view of every window,
-    # [B, nh, nw, C, k, k], laid out by one copy into a fresh array
-    b, _, _, c = xp.shape
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    out = np.empty((b, nh, nw, k, k, c), dtype=xp.dtype)
-    out[...] = windows.transpose(0, 1, 2, 4, 5, 3)
-    return out.reshape(b, nh * nw, k * k, c)
-
-
-def _scatter_windows(g, hp, wp, k, stride, nh, nw):
-    # g: [B, L, k*k, C] -> [B, hp, wp, C], summing overlaps
-    b, _, kk, c = g.shape
-    if stride == k:
-        # the windows tile the grid, so each position is one window entry
-        out = np.empty((b, hp, wp, c), dtype=g.dtype)
-        out.reshape(b, nh, k, nw, k, c)[...] = g.reshape(b, nh, nw, k, k, c).transpose(0, 1, 3, 2, 4, 5)
-        return out
-    blocks = g.reshape(b, nh, nw, kk, c)
-    acc = np.zeros((b, hp, wp, c), dtype=g.dtype)
-    t = 0
-    for di in range(k):
-        for dj in range(k):
-            acc[:, di:di + stride * nh:stride, dj:dj + stride * nw:stride, :] += blocks[:, :, :, t, :]
-            t += 1
-    return acc
-
-
-def unfold(x, k, stride=1, pad=0):
-    """[B, H, W, C] -> [B, L, k*k, C] local window columns."""
-    if x.ndim != 4:
-        raise DimensionError(f"unfold expects [B, H, W, C], got {x.shape}")
-    b, h, w, c = x.shape
-    nh, nw = _window_geometry(h, w, k, stride, pad)
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    hp, wp = h + 2 * pad, w + 2 * pad
-
-    def backward(g):
-        full = _scatter_windows(g, hp, wp, k, stride, nh, nw)
-        if pad:
-            full = full[:, pad:hp - pad, pad:wp - pad, :]
-        return (full,)
-
-    return _emit(_gather_windows(xp, k, stride, nh, nw), (x,), backward)
-
-
-def fold(cols, hw, k, stride=1, pad=0):
-    """Inverse of unfold: [B, L, k*k, C] -> [B, H, W, C], overlaps summed."""
-    if cols.ndim != 4:
-        raise DimensionError(f"fold expects [B, L, k*k, C], got {cols.shape}")
-    h, w = hw
-    nh, nw = _window_geometry(h, w, k, stride, pad)
-    b, l, kk, c = cols.shape
-    if l != nh * nw or kk != k * k:
-        raise DimensionError(f"fold: columns {cols.shape} do not match {h}x{w} k={k} stride={stride} pad={pad}")
-    hp, wp = h + 2 * pad, w + 2 * pad
-    full = _scatter_windows(cols.data, hp, wp, k, stride, nh, nw)
-    if pad:
-        full = full[:, pad:hp - pad, pad:wp - pad, :].copy()
-
-    def backward(g):
-        gp = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else g
-        return (_gather_windows(gp, k, stride, nh, nw),)
-
-    return _emit(full, (cols,), backward)
-
-
-def overlap_counts(h, w, k, stride=1, pad=1):
-    """How many windows cover each position; fold(unfold(x)) == x * counts."""
-    nh, nw = _window_geometry(h, w, k, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    ones = np.ones((1, nh * nw, k * k, 1))
-    counts = _scatter_windows(ones, hp, wp, k, stride, nh, nw)[0, :, :, 0]
-    if pad:
-        counts = counts[pad:hp - pad, pad:wp - pad].copy()
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # attention
 
 
@@ -665,7 +593,7 @@ def _outlook_mixing(h, w, k):
     gather[dropped] = 0
     ones = csr_matrix((np.ones(kept.size), (gather[kept], kept)), shape=(length * length, gather.size))
     scatter = (ones, ones.astype(np.float32))
-    inv_counts = 1.0 / overlap_counts(h, w, k, 1, pad)
+    inv_counts = 1.0 / np.bincount(pos[inside], minlength=length).reshape(h, w)
     arrays = [gather, dropped, inv_counts]
     for m in scatter:
         arrays += [m.data, m.indices, m.indptr]

@@ -110,13 +110,7 @@ def init_patch_embed(params, prefix, rng, cfg):
 
 def patch_embed(params, prefix, images, cfg):
     """[B, H, W, 3] image batch -> [B, T, C] tokens, T = (H/p)*(W/p)."""
-    b, h, w, _ = images.shape
-    p = cfg.patch_size
-    if h % p or w % p:
-        raise DimensionError(f"image {h}x{w} not divisible by patch size {p}")
-    cols = T.unfold(images, p, p, 0)  # [B, T, p*p, 3]
-    cols = T.reshape(cols, (b, cols.shape[1], 3 * p * p))
-    return linear(params, prefix, cols)
+    return linear(params, prefix, T.space_to_depth(images, cfg.patch_size))
 
 
 def zero_input_tokens(params, prefix, cfg, batch):
@@ -176,12 +170,9 @@ def init_downsample(params, prefix, rng, cfg):
 
 
 def downsample_forward(params, prefix, x):
-    """2x2 patch merge via linear projection: [B,h,w,C] -> [B,h/2,w/2,2C]."""
-    b, h, w, c = x.shape
-    if h % 2 or w % 2:
-        raise DimensionError(f"downsample needs even dims, got {h}x{w}")
-    cols = T.unfold(x, 2, 2, 0)  # [B, h/2*w/2, 4, C]
-    return linear(params, prefix, T.reshape(cols, (b, h // 2, w // 2, 4 * c)))
+    """2x2 patch merge via linear projection: [B, h, w, C] grid ->
+    [B, (h/2)*(w/2), 2C] token sequence."""
+    return linear(params, prefix, T.space_to_depth(x, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +243,7 @@ def trunk_forward(params, grid, cfg, ctx=None):
     """Outlooker stage -> downsample -> transformer stage -> final norm."""
     for i in range(cfg.outlooker_blocks):
         grid = outlooker_forward(params, f"trunk.outlooker{i}", grid, cfg, ctx)
-    grid = downsample_forward(params, "trunk.downsample", grid)
-    b, h, w, d = grid.shape
-    x = T.reshape(grid, (b, h * w, d))
+    x = downsample_forward(params, "trunk.downsample", grid)
     for i in range(cfg.transformer_blocks):
         x = transformer_forward(params, f"trunk.transformer{i}", x, cfg, ctx)
     return lnorm(params, "trunk.norm", x)

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: scipy statistics
 where they exist, straight-line transcriptions of the formulas elsewhere.
 The exceptions are the fused layers of the tensor engine, whose oracles
-are the composites of generic ops (unfold, fold, softmax, matmul, reshape,
-transpose) they replace, which have finite-difference tests of their own;
+are the composites of generic ops (softmax, matmul, reshape, transpose, and
+the taped window columns and fold built here on the slice loops) they
+replace, which have finite-difference tests of their own;
 the per-task vote aggregation and full-range KDE grid, kept as the
 references the columnar and windowed versions must equal bit for bit; and
 the straightforward crop and pair preprocessing, augmentation, softmax, GELU,
@@ -117,8 +118,9 @@ def linear_oracle(x, w, b):
 
 
 def window_columns_oracle(x, k, stride, pad):
-    """unfold's values on a [B, H, W, C] array: one strided slice per
-    window offset (di, dj) into column di * k + dj."""
+    """Window columns [B, L, k*k, C] of a [B, H, W, C] array, zero padded
+    by `pad`: one strided slice per window offset (di, dj) into column
+    di * k + dj."""
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     b, hp, wp, c = xp.shape
     nh, nw = (hp - k) // stride + 1, (wp - k) // stride + 1
@@ -130,7 +132,7 @@ def window_columns_oracle(x, k, stride, pad):
 
 
 def window_fold_oracle(cols, hw, k, stride, pad):
-    """fold's values: each window column added back at its offset, in
+    """Fold of window columns: each column added back at its offset, in
     column order, onto a zero padded grid, then the padding cut off."""
     h, w = hw
     b, _, _, c = cols.shape
@@ -144,17 +146,49 @@ def window_fold_oracle(cols, hw, k, stride, pad):
     return acc[:, pad:hp - pad, pad:wp - pad, :]
 
 
+def unfold_oracle(x, k, stride, pad):
+    """Taped window columns [B, H, W, C] -> [B, L, k*k, C]; the backward is
+    the fold loop, their adjoint."""
+    hw = x.shape[1:3]
+    return T._emit(window_columns_oracle(x.data, k, stride, pad), (x,),
+                   lambda g: (window_fold_oracle(g, hw, k, stride, pad),))
+
+
+def fold_oracle(cols, hw, k, stride, pad):
+    """Taped fold [B, L, k*k, C] -> [B, H, W, C], overlaps summed; the
+    backward is the window columns loop, their adjoint."""
+    return T._emit(window_fold_oracle(cols.data, hw, k, stride, pad), (cols,),
+                   lambda g: (window_columns_oracle(g, k, stride, pad),))
+
+
+def overlap_counts_oracle(h, w, k, stride, pad):
+    """How many windows cover each position of an h x w grid, by
+    enumerating the windows over the padded grid."""
+    counts = np.zeros((h + 2 * pad, w + 2 * pad))
+    for i0 in range(0, h + 2 * pad - k + 1, stride):
+        for j0 in range(0, w + 2 * pad - k + 1, stride):
+            counts[i0:i0 + k, j0:j0 + k] += 1
+    return counts[pad:pad + h, pad:pad + w]
+
+
+def space_to_depth_oracle(x, p):
+    """Patches as window columns with stride p, then reshaped to
+    [B, (H/p)*(W/p), p*p*C]."""
+    b, h, w, c = x.shape
+    return T.reshape(unfold_oracle(x, p, p, 0), (b, (h // p) * (w // p), p * p * c))
+
+
 def outlook_attention_oracle(attn_logits, v, k, heads):
-    """Outlook attention as unfold -> per-window softmax attention -> fold,
-    then division by the overlap counts."""
+    """Outlook attention as window columns -> per-window softmax attention
+    -> fold, then division by the overlap counts."""
     b, h, w, c = v.shape
     kk, d, pad = k * k, c // heads, (k - 1) // 2
     attn = T.softmax(T.reshape(attn_logits, (b, h * w, heads, kk, kk)), axis=-1)
-    cols = T.reshape(T.unfold(v, k, 1, pad), (b, h * w, kk, heads, d))
+    cols = T.reshape(unfold_oracle(v, k, 1, pad), (b, h * w, kk, heads, d))
     out = attn @ T.transpose(cols, (0, 1, 3, 2, 4))  # [B, L, heads, kk, d]
     out = T.reshape(T.transpose(out, (0, 1, 3, 2, 4)), (b, h * w, kk, c))
-    grid = T.fold(out, (h, w), k, 1, pad)
-    return grid * T.constant(1.0 / T.overlap_counts(h, w, k, 1, pad)[None, :, :, None])
+    grid = fold_oracle(out, (h, w), k, 1, pad)
+    return grid * T.constant(1.0 / overlap_counts_oracle(h, w, k, 1, pad)[None, :, :, None])
 
 
 def attention_oracle(q, k, v, heads):

@@ -207,6 +207,11 @@ MALFORMED_SAMPLES = {
     "image_with_nul": {**GOOD_SAMPLE, "image": "a\0.ppm"},
     "image_with_lone_surrogate": {**GOOD_SAMPLE, "image": "\ud800.ppm"},
     "bbox_overflows": {**GOOD_SAMPLE, "face_bbox": [0, 0, float("inf"), 5]},
+    "bbox_string_of_digits": {**GOOD_SAMPLE, "face_bbox": "3247"},
+    "bbox_with_bool": {**GOOD_SAMPLE, "face_bbox": [True, 0, 5, 5]},
+    "bbox_with_float": {**GOOD_SAMPLE, "face_bbox": [0, 0, 5.5, 5]},
+    "gender_unknown": {**GOOD_SAMPLE, "gender": "abc"},
+    "no_bbox": {**GOOD_SAMPLE, "face_bbox": None, "body_bbox": None},
 }
 
 

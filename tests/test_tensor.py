@@ -9,11 +9,14 @@ from oracles import (
     attention_oracle,
     drop_path_oracle,
     dropout_oracle,
+    fold_oracle,
     fused_linear_oracle,
     gelu_oracle,
     linear_oracle,
     outlook_attention_oracle,
+    overlap_counts_oracle,
     softmax_oracle,
+    unfold_oracle,
     window_columns_oracle,
     window_fold_oracle,
 )
@@ -220,35 +223,27 @@ def test_sum_mean_grads():
 
 
 # ---------------------------------------------------------------------------
-# unfold / fold
-
-
-def test_unfold_fold_nonoverlapping_roundtrip():
-    rng = np.random.default_rng(9)
-    x = constant(rng.standard_normal((1, 4, 4, 2)))
-    cols = T.unfold(x, k=2, stride=2, pad=0)
-    assert cols.shape == (1, 4, 4, 2)
-    back = T.fold(cols, (4, 4), k=2, stride=2, pad=0)
-    np.testing.assert_array_equal(back.data, x.data)
+# space_to_depth, and the oracle's taped windows
 
 
 @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (2, 2, 0), (3, 1, 0), (2, 1, 1), (5, 1, 2)])
 def test_fold_unfold_equals_overlap_count_scaling(k, stride, pad):
+    # the outlook composite divides its fold by these counts
     rng = np.random.default_rng(10)
     for h, w in [(5, 5), (8, 6), (8, 8), (k, k)]:
         hp = h + 2 * pad
         if k > hp or (hp - k) % stride or (w + 2 * pad - k) % stride:
             continue
         x = constant(rng.standard_normal((2, h, w, 3)))
-        back = T.fold(T.unfold(x, k, stride, pad), (h, w), k, stride, pad)
-        # independent overlap counts by explicit window enumeration
-        counts = np.zeros((h + 2 * pad, w + 2 * pad))
-        for i0 in range(0, h + 2 * pad - k + 1, stride):
-            for j0 in range(0, w + 2 * pad - k + 1, stride):
-                counts[i0:i0 + k, j0:j0 + k] += 1
-        counts = counts[pad:pad + h, pad:pad + w]
+        back = fold_oracle(unfold_oracle(x, k, stride, pad), (h, w), k, stride, pad)
+        counts = overlap_counts_oracle(h, w, k, stride, pad)
         np.testing.assert_allclose(back.data, x.data * counts[None, :, :, None], atol=1e-12)
-        np.testing.assert_array_equal(T.overlap_counts(h, w, k, stride, pad), counts)
+
+
+@pytest.mark.parametrize("h,w,k", [(4, 4, 3), (8, 8, 3), (5, 6, 3), (5, 6, 5), (28, 28, 3), (2, 3, 1)])
+def test_outlook_mixing_counts_are_the_enumerated_window_counts(h, w, k):
+    inv_counts = T._outlook_mixing(h, w, k)[3]
+    assert inv_counts.tobytes() == (1.0 / overlap_counts_oracle(h, w, k, 1, (k - 1) // 2)).tobytes()
 
 
 # (k, stride, pad, h, w): overlapping, tiling (stride == k, as in the patch
@@ -259,20 +254,53 @@ WINDOW_CASES = [(3, 1, 1, 5, 6), (2, 2, 0, 4, 6), (8, 8, 0, 16, 8), (3, 3, 0, 3,
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("k,stride,pad,h,w", WINDOW_CASES)
 def test_unfold_fold_are_bitwise_the_slice_loops(k, stride, pad, h, w, dtype):
+    # the oracle's taped windows are each other's adjoint: the tape
+    # gradient of one is the other's slice loop
     rng = np.random.default_rng(12)
     x = parameter(rng.standard_normal((2, h, w, 3)).astype(dtype))
-    cols = T.unfold(x, k, stride, pad)
-    want_cols = window_columns_oracle(x.data, k, stride, pad)
-    assert cols.data.dtype == dtype and cols.data.tobytes() == want_cols.tobytes()
+    g = rng.standard_normal(window_columns_oracle(x.data, k, stride, pad).shape).astype(dtype)
+    with Tape() as tape:
+        cols = unfold_oracle(x, k, stride, pad)
+        tape.backward((cols * constant(g)).sum())
+    assert cols.data.dtype == dtype and x.grad.dtype == dtype
+    assert x.grad.tobytes() == window_fold_oracle(g, (h, w), k, stride, pad).tobytes()
+    g = parameter(g)
+    with Tape() as tape:
+        tape.backward((fold_oracle(g, (h, w), k, stride, pad) * constant(x.data)).sum())
+    assert g.grad.dtype == dtype and g.grad.tobytes() == window_columns_oracle(x.data, k, stride, pad).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,stride,pad,h,w", [case for case in WINDOW_CASES if case[1] == case[0]])
+def test_space_to_depth_is_bitwise_the_slice_loops(k, stride, pad, h, w, dtype):
+    # patches of side k are the window columns with stride k, reshaped
+    rng = np.random.default_rng(13)
+    x = parameter(rng.standard_normal((2, h, w, 3)).astype(dtype))
+    cols = window_columns_oracle(x.data, k, stride, pad)
     g = rng.standard_normal(cols.shape).astype(dtype)
     with Tape() as tape:
-        out = T.unfold(x, k, stride, pad)
-        tape.backward((out * constant(g)).sum())
+        out = T.space_to_depth(x, k)
+        tape.backward((out * constant(g.reshape(out.shape))).sum())
+    assert out.shape == (2, (h // k) * (w // k), k * k * 3)
+    assert out.data.dtype == dtype and out.data.tobytes() == cols.tobytes()
     assert x.grad.dtype == dtype and x.grad.tobytes() == window_fold_oracle(g, (h, w), k, stride, pad).tobytes()
-    g = constant(g)
-    folded = T.fold(g, (h, w), k, stride, pad)
-    assert folded.data.tobytes() == window_fold_oracle(g.data, (h, w), k, stride, pad).tobytes()
-    assert not np.shares_memory(folded.data, g.data)
+    assert not np.shares_memory(out.data, x.data)
+
+
+def test_space_to_depth_grad():
+    rng = np.random.default_rng(14)
+    x = parameter(rng.standard_normal((2, 4, 6, 3)))
+    w = constant(rng.standard_normal((2, 6, 12)))
+    fd_check(lambda: (T.space_to_depth(x, 2) * w).sum(), {"x": x}, tol=1e-6)
+
+
+def test_space_to_depth_rejects_sizes_not_divisible_by_p():
+    x = constant(np.zeros((1, 4, 6, 1)))
+    for p in (3, 4, 0):
+        with pytest.raises(DimensionError):
+            T.space_to_depth(x, p)
+    with pytest.raises(DimensionError):
+        T.space_to_depth(constant(np.zeros((4, 6, 1))), 2)
 
 
 def test_float32_and_float64_are_kept_everything_else_is_float64():
@@ -290,22 +318,15 @@ def test_float32_and_float64_are_kept_everything_else_is_float64():
         assert out.data.dtype == np.float32
 
 
-def test_unfold_invalid_geometry():
-    x = constant(np.zeros((1, 4, 4, 1)))
-    with pytest.raises(DimensionError):
-        T.unfold(x, k=3, stride=2, pad=0)
-    with pytest.raises(DimensionError):
-        T.unfold(x, k=5, stride=1, pad=0)
-
-
 def test_unfold_fold_grads():
+    # the outlook composite takes its gradients through the oracle's taped windows
     rng = np.random.default_rng(11)
     x = parameter(rng.standard_normal((1, 4, 4, 2)))
     w = constant(rng.standard_normal((1, 16, 9, 2)))
-    fd_check(lambda: (T.unfold(x, 3, 1, 1) * w).sum(), {"x": x}, tol=1e-6)
+    fd_check(lambda: (unfold_oracle(x, 3, 1, 1) * w).sum(), {"x": x}, tol=1e-6)
     cols = parameter(rng.standard_normal((1, 16, 9, 2)))
     wf = constant(rng.standard_normal((1, 4, 4, 2)))
-    fd_check(lambda: (T.fold(cols, (4, 4), 3, 1, 1) * wf).sum(), {"cols": cols}, tol=1e-6)
+    fd_check(lambda: (fold_oracle(cols, (4, 4), 3, 1, 1) * wf).sum(), {"cols": cols}, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,7 @@ ORACLE_PATCHES = [
     (tensor, "_softmax", oracles.softmax_oracle),
     (tensor, "linear", oracles.fused_linear_oracle),
     (tensor, "gelu", oracles.gelu_oracle),
+    (tensor, "space_to_depth", oracles.space_to_depth_oracle),
     (volo, "_dropout", oracles.dropout_oracle),
     (volo, "_drop_path", oracles.drop_path_oracle),
 ]

@@ -157,9 +157,9 @@ def test_downsample_shape_and_zero_input(rng):
     init_downsample(params, "down", rng, cfg)
     x = T.constant(rng.standard_normal((1, 8, 8, 64)))
     out = downsample_forward(params, "down", x)
-    assert out.shape == (1, 4, 4, 128)
+    assert out.shape == (1, 16, 128)  # a 4x4 grid of merged tokens, as a sequence
     zeros = downsample_forward(params, "down", T.constant(np.zeros((1, 8, 8, 64))))
-    np.testing.assert_array_equal(zeros.data, np.broadcast_to(params["down.bias"].data, (1, 4, 4, 128)))
+    np.testing.assert_array_equal(zeros.data, np.broadcast_to(params["down.bias"].data, (1, 16, 128)))
 
 
 def test_downsample_odd_dims(rng):
@@ -290,8 +290,7 @@ def test_trunk_shape_trace_matches_config(rng):
         x = outlooker_forward(model.params, f"trunk.outlooker{i}", x, cfg)
         assert x.shape == (2, g, g, cfg.stage1_width)
     x = downsample_forward(model.params, "trunk.downsample", x)
-    assert x.shape == (2, g // 2, g // 2, cfg.stage2_width)
-    x = T.reshape(x, (2, (g // 2) ** 2, cfg.stage2_width))
+    assert x.shape == (2, (g // 2) ** 2, cfg.stage2_width)
     for i in range(cfg.transformer_blocks):
         x = transformer_forward(model.params, f"trunk.transformer{i}", x, cfg)
         assert x.shape == (2, (g // 2) ** 2, cfg.stage2_width)
