@@ -7,21 +7,22 @@ annotator does not carry infinite weight). Gender is the plain mode,
 rejected when the mode frequency drops below 75% (exactly 75% is kept).
 The classical baseline aggregators are here too, for comparison runs.
 
-Cost: `aggregate_tasks` computes the weighted mean column-wise. It groups
-the tasks by vote count k, flattens each group's votes and MAEs (one
-lookup per vote) into a C-contiguous [n_k, k] block and averages it in one
-`_weighted_means` call, so the NumPy work is a few calls per distinct vote
-count, and the rest is one light Python pass per task (gender by
-`list.count`). Each age is bit-identical to `weighted_mean_age` on that
-task alone. The baselines run task by task.
+Cost: `collect_vote_records` codes each vote's task and user in one pass
+of dict look-ups and groups the votes stably by task into one columnar
+`VoteTable` (user, age and gender arrays with per-task offsets), checked
+by array operations; no per-vote object outlives the pass.
+`aggregate_tasks` looks each user's MAE up once and averages the tasks of
+each age-vote count k as one C-contiguous [n_k, k] block, so each age is
+bit-identical to `weighted_mean_age` on that task alone. Genders take two
+`np.bincount` calls; the baselines run task by task on age slices.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -33,16 +34,9 @@ KDE_BANDWIDTH = 2.0
 KDE_GRID_STEP = 0.1
 
 GENDERS = ("male", "female")
-
-BASELINE_METHODS = (
-    "mean",
-    "median",
-    "interquartile_mean",
-    "mode",
-    "max_likelihood",
-    "winsorized_mean",
-    "truncated_mean",
-)
+# VoteTable gender codes; 2 (unknown) is reported before a table is built
+_GENDER_CODES = {None: -1, "male": 0, "female": 1}
+_GENDER_RESULTS = (*GENDERS, "rejected", None)
 
 
 @dataclass(frozen=True)
@@ -59,21 +53,19 @@ class UserStat:
             raise InputError(f"user {self.user_id}: needs at least one control task")
 
 
-@dataclass
-class VoteRecord:
-    task_id: str
-    age_votes: List[Tuple[str, float]] = field(default_factory=list)
-    gender_votes: List[Tuple[str, str]] = field(default_factory=list)
+@dataclass(frozen=True)
+class VoteTable:
+    """Every vote of a votes file, grouped stably by task: task t (of
+    `task_ids`, in first-appearance order) owns votes offsets[t]:offsets[t+1]
+    of the columns `user` (codes into `user_ids`), `age` (float64, NaN for
+    no age vote) and `gender` (codes -1 none, 0 male, 1 female)."""
 
-    def __post_init__(self):
-        if not self.age_votes and not self.gender_votes:
-            raise InputError(f"task {self.task_id}: no votes")
-        for votes, what in ((self.age_votes, "age"), (self.gender_votes, "gender")):
-            if len({u for u, _ in votes}) != len(votes):
-                raise InputError(f"task {self.task_id}: duplicate {what} votes from one user")
-        for _, g in self.gender_votes:
-            if g not in GENDERS:
-                raise InputError(f"task {self.task_id}: unknown gender vote {g!r}")
+    task_ids: list
+    user_ids: list
+    offsets: np.ndarray
+    user: np.ndarray
+    age: np.ndarray
+    gender: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +92,6 @@ def weighted_mean_age(votes, user_maes, mae_floor=MAE_FLOOR):
     if votes.shape != maes.shape:
         raise InputError(f"weighted_mean_age: {votes.size} votes vs {maes.size} MAEs")
     return float(_weighted_means(votes.reshape(1, -1), maes.reshape(1, -1), mae_floor)[0])
-
-
-def _interquartile_mean(votes):
-    xs = np.sort(votes)
-    cut = len(xs) // 4
-    middle = xs[cut:len(xs) - cut]
-    if middle.size == 0:
-        return float(np.median(xs))
-    return float(middle.mean())
 
 
 def _mode(votes):
@@ -155,7 +138,8 @@ def _winsorized_mean(votes, replaced_per_tail=None, fraction=0.3):
 
 
 def _truncated_mean(votes, fraction=0.3):
-    """Drop floor(n*fraction) votes from each end, average the rest."""
+    """Drop floor(n*fraction) votes from each end, average the rest (the
+    interquartile mean at fraction 0.25)."""
     xs = np.sort(votes)
     n = len(xs)
     g = int(n * fraction)
@@ -165,35 +149,43 @@ def _truncated_mean(votes, fraction=0.3):
     return float(middle.mean())
 
 
+_BASELINES = {
+    "mean": lambda votes: float(votes.mean()),
+    "median": lambda votes: float(np.median(votes)),
+    "interquartile_mean": lambda votes: _truncated_mean(votes, 0.25),
+    "mode": _mode,
+    "max_likelihood": _max_likelihood,
+    "winsorized_mean": _winsorized_mean,
+    "truncated_mean": _truncated_mean,
+}
+BASELINE_METHODS = tuple(_BASELINES)
+
+
 def baseline_aggregate(votes, method):
     """One of the classical statistics over a vote list."""
     votes = np.asarray(votes, dtype=np.float64)
     if votes.size == 0:
         raise InputError("baseline_aggregate: no votes")
-    if method == "mean":
-        return float(votes.mean())
-    if method == "median":
-        return float(np.median(votes))
-    if method == "interquartile_mean":
-        return _interquartile_mean(votes)
-    if method == "mode":
-        return _mode(votes)
-    if method == "max_likelihood":
-        return _max_likelihood(votes)
-    if method == "winsorized_mean":
-        return _winsorized_mean(votes)
-    if method == "truncated_mean":
-        return _truncated_mean(votes)
-    raise InputError(f"unknown aggregation method {method!r}")
+    if method not in _BASELINES:
+        raise InputError(f"unknown aggregation method {method!r}")
+    return _BASELINES[method](votes)
 
 
 # ---------------------------------------------------------------------------
 # gender aggregation
 
 
+def _gender_mode(male, female, min_frequency=GENDER_MIN_FREQUENCY):
+    """Index into _GENDER_RESULTS of each pair of vote counts: the mode,
+    rejected when its frequency is below the threshold (exactly at the
+    threshold is retained) or tied, None without votes."""
+    total = male + female
+    rejected = (np.maximum(male, female) / np.maximum(total, 1) < min_frequency) | (male == female)
+    return np.where(total == 0, 3, np.where(rejected, 2, np.where(female > male, 1, 0)))
+
+
 def aggregate_gender(votes, min_frequency=GENDER_MIN_FREQUENCY):
-    """Mode of the gender votes; "rejected" when the mode frequency is
-    below the threshold (exactly at the threshold is retained)."""
+    """Mode of the gender votes, or "rejected" (see `_gender_mode`)."""
     votes = list(votes)
     if not votes:
         raise InputError("aggregate_gender: no votes")
@@ -201,9 +193,7 @@ def aggregate_gender(votes, min_frequency=GENDER_MIN_FREQUENCY):
     if male + female != len(votes):
         bad = next(v for v in votes if v not in GENDERS)
         raise InputError(f"unknown gender vote {bad!r}")
-    if max(male, female) / len(votes) < min_frequency or male == female:
-        return "rejected"
-    return "male" if male > female else "female"
+    return _GENDER_RESULTS[int(_gender_mode(male, female, min_frequency))]
 
 
 # ---------------------------------------------------------------------------
@@ -235,66 +225,76 @@ def score_users(control_answers):
     return stats
 
 
-def _weighted_mean_ages(records, mae_by_user):
-    """e^{1/MAE}-weighted mean age per record, one `_weighted_means` call
-    per distinct vote count; entries of records without age votes are
-    unused."""
-    counts = np.array([len(record.age_votes) for record in records], dtype=np.intp)
-    ages = np.empty(len(records))
-    try:
+def collect_vote_records(rows):
+    """One VoteTable of flat {task, user, age, gender} rows; InputError for
+    the first task that has no votes, two age or two gender votes from one
+    user, or an unknown gender vote (checked in that order)."""
+    task_codes, user_codes = defaultdict(count().__next__), defaultdict(count().__next__)
+    tasks, users, ages, raw_genders = [], [], [], []
+    for row in rows:
+        tasks.append(task_codes[str(row["task"])])
+        users.append(user_codes[str(row["user"])])
+        age = row.get("age")
+        ages.append(math.nan if age is None else float(age))
+        raw_genders.append(row.get("gender"))
+
+    task_ids, n_users, task = list(task_codes), len(user_codes), np.fromiter(tasks, np.intp, len(tasks))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(task, minlength=len(task_ids)))))
+    order = np.argsort(task, kind="stable")
+    # an unhashable JSON value (a list or an object) is an unknown gender too
+    codes = (_GENDER_CODES.get(g, 2) if g.__hash__ else 2 for g in raw_genders)
+    task, gender = task[order], np.fromiter(codes, np.int8, len(tasks))[order]
+    user = np.fromiter(users, np.intp, len(tasks))[order]
+    age = np.fromiter(ages, np.float64, len(tasks))[order]
+    has_age, has_gender = ~np.isnan(age), gender >= 0
+    failing = [np.flatnonzero(np.bincount(task[has_age | has_gender], minlength=len(task_ids)) == 0)]
+    for has in (has_age, has_gender):  # a user voting twice on a task repeats a key
+        keys = np.sort((task * n_users + user)[has])
+        failing.append(keys[1:][keys[1:] == keys[:-1]] // n_users)
+    failing.append(task[gender == 2])
+    if any(f.size for f in failing):
+        t, check = min((int(f.min()), check) for check, f in enumerate(failing) if f.size)
+        bad = raw_genders[order[offsets[t] + np.argmax(gender[offsets[t]:offsets[t + 1]] == 2)]]
+        reason = ("no votes", "duplicate age votes from one user", "duplicate gender votes from one user",
+                  f"unknown gender vote {bad!r}")[check]
+        raise InputError(f"task {task_ids[t]}: {reason}")
+    return VoteTable(task_ids, list(user_codes), offsets, user, age, gender)
+
+
+def aggregate_tasks(table, user_stats, method="weighted_mean"):
+    """Aggregate every task's votes; returns [{task, age, gender}, ...].
+    A missing MAE (weighted_mean) is reported for the first task that has
+    one, before any age is checked for overflow."""
+    n_tasks = len(table.task_ids)
+    task = np.repeat(np.arange(n_tasks), np.diff(table.offsets))
+    has_age = ~np.isnan(table.age)
+    age_task, users, votes = task[has_age], table.user[has_age], table.age[has_age]
+    counts = np.bincount(age_task, minlength=n_tasks)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    if method == "weighted_mean":
+        mae_by_user = {s.user_id: max(s.mae, MAE_FLOOR) for s in user_stats}
+        missing = np.array([u not in mae_by_user for u in table.user_ids], dtype=bool)[users]
+        if missing.any():
+            t = age_task[np.argmax(missing)]
+            names = [table.user_ids[u] for u in users[missing & (age_task == t)].tolist()]
+            raise InputError(f"task {table.task_ids[t]}: no control MAE for users {names}")
+        maes = np.array([mae_by_user.get(u, 0.0) for u in table.user_ids], dtype=np.float64)[users]
+        weighted = np.empty(n_tasks)
         for k in np.unique(counts[counts > 0]).tolist():
             rows = np.flatnonzero(counts == k)
-            group = [records[i].age_votes for i in rows.tolist()]
-            # filled row by row, so each [n_k, k] block is C-contiguous
-            votes = np.fromiter((v for pairs in group for _, v in pairs), np.float64, rows.size * k)
-            maes = np.fromiter((mae_by_user[u] for pairs in group for u, _ in pairs), np.float64, rows.size * k)
-            ages[rows] = _weighted_means(votes.reshape(-1, k), maes.reshape(-1, k))
-    except KeyError:
-        for record in records:
-            missing = [u for u, _ in record.age_votes if u not in mae_by_user]
-            if missing:
-                raise InputError(f"task {record.task_id}: no control MAE for users {missing}") from None
-        raise
-    return ages.tolist()
+            block = starts[rows, None] + np.arange(k)  # each [n_k, k] gather is C-contiguous
+            weighted[rows] = _weighted_means(votes[block], maes[block])
+        weighted = weighted.tolist()
 
+    male, female = (np.bincount(task[table.gender == code], minlength=n_tasks) for code in (0, 1))
+    genders = np.array(_GENDER_RESULTS, dtype=object)[_gender_mode(male, female)].tolist()
 
-def aggregate_tasks(records, user_stats, method="weighted_mean"):
-    """Aggregate every task's votes; returns [{task, age, gender}, ...].
-
-    weighted_mean is columnar (see the module docstring), so a missing MAE
-    anywhere is reported before any age is checked for overflow.
-    """
-    mae_by_user = {s.user_id: max(s.mae, MAE_FLOOR) for s in user_stats}
-    weighted = _weighted_mean_ages(records, mae_by_user) if method == "weighted_mean" else None
     results = []
-    for i, record in enumerate(records):
-        age = gender = None
-        if record.age_votes:
-            if weighted is not None:
-                age = weighted[i]
-            else:
-                age = baseline_aggregate([v for _, v in record.age_votes], method)
+    for t, (task_id, k, start) in enumerate(zip(table.task_ids, counts.tolist(), starts.tolist())):
+        age = None
+        if k:
+            age = weighted[t] if method == "weighted_mean" else baseline_aggregate(votes[start:start + k], method)
             if not math.isfinite(age):
-                raise NumericalError(f"task {record.task_id}: aggregated age is not finite")
-        if record.gender_votes:
-            gender = aggregate_gender([g for _, g in record.gender_votes])
-        results.append({"task": record.task_id, "age": age, "gender": gender})
+                raise NumericalError(f"task {task_id}: aggregated age is not finite")
+        results.append({"task": task_id, "age": age, "gender": genders[t]})
     return results
-
-
-def collect_vote_records(rows):
-    """Group flat {task, user, age, gender} rows into VoteRecords."""
-    by_task = {}
-    for row in rows:
-        task = str(row["task"])
-        bucket = by_task.get(task)
-        if bucket is None:
-            bucket = by_task[task] = ([], [])
-        user = str(row["user"])
-        age = row.get("age")
-        if age is not None:
-            bucket[0].append((user, float(age)))
-        gender = row.get("gender")
-        if gender is not None:
-            bucket[1].append((user, gender))
-    return [VoteRecord(task_id=t, age_votes=a, gender_votes=g) for t, (a, g) in by_task.items()]

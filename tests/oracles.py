@@ -13,18 +13,21 @@ out-of-place `linear` and dropout masks, which their leaner replacements
 must equal bit for bit.
 """
 
+import contextlib
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 from scipy import stats as sps
 
+from agegender import cli
 from agegender import tensor as T
 from agegender.augment import jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair
-from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image, detach_objects, discard_if_small, trim
-from agegender.votes import GENDERS, MAE_FLOOR, VoteRecord, baseline_aggregate
+from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image, discard_if_small, trim
+from agegender.votes import GENDERS, MAE_FLOOR, baseline_aggregate
 
 KDE_BANDWIDTH = 2.0
 KDE_GRID_STEP = 0.1
@@ -267,18 +270,22 @@ def aggregate_gender_oracle(votes, min_frequency=0.75):
 
 
 def collect_vote_records_oracle(rows):
-    """Rows grouped per task, with the duplicate and gender checks made
-    here before any VoteRecord is built."""
+    """Rows grouped into per-task {task, age: [(user, age)], gender:
+    [(user, gender)]} buckets in order of first appearance; the first task
+    without votes, with a duplicate age or gender vote, or with an unknown
+    gender (checked in that order) raises."""
     by_task = {}
     for row in rows:
         task = str(row["task"])
-        bucket = by_task.setdefault(task, {"age": [], "gender": []})
+        bucket = by_task.setdefault(task, {"task": task, "age": [], "gender": []})
         user = str(row["user"])
         if row.get("age") is not None:
             bucket["age"].append((user, float(row["age"])))
         if row.get("gender") is not None:
             bucket["gender"].append((user, row["gender"]))
     for task, bucket in by_task.items():
+        if not bucket["age"] and not bucket["gender"]:
+            raise InputError(f"task {task}: no votes")
         for what in ("age", "gender"):
             users = [u for u, _ in bucket[what]]
             if len(users) != len(set(users)):
@@ -286,33 +293,47 @@ def collect_vote_records_oracle(rows):
         for _, g in bucket["gender"]:
             if g not in GENDERS:
                 raise InputError(f"task {task}: unknown gender vote {g!r}")
-    return [VoteRecord(task_id=t, age_votes=b["age"], gender_votes=b["gender"]) for t, b in by_task.items()]
+    return list(by_task.values())
 
 
-def aggregate_tasks_oracle(records, user_stats, method="weighted_mean"):
-    """Task by task: one weighted mean or baseline call per task."""
+def aggregate_tasks_oracle(buckets, user_stats, method="weighted_mean"):
+    """Task by task: one weighted mean or baseline call per task. For
+    weighted_mean every task's MAEs are looked up first, so a missing MAE
+    is reported before any age overflows."""
     mae_by_user = {s.user_id: max(s.mae, MAE_FLOOR) for s in user_stats}
+    for bucket in buckets if method == "weighted_mean" else ():
+        missing = [u for u, _ in bucket["age"] if u not in mae_by_user]
+        if missing:
+            raise InputError(f"task {bucket['task']}: no control MAE for users {missing}")
     results = []
-    for record in records:
-        out = {"task": record.task_id, "age": None, "gender": None}
-        if record.age_votes:
-            votes = [v for _, v in record.age_votes]
+    for bucket in buckets:
+        task = bucket["task"]
+        out = {"task": task, "age": None, "gender": None}
+        if bucket["age"]:
+            votes = [v for _, v in bucket["age"]]
             if method == "weighted_mean":
-                missing = [u for u, _ in record.age_votes if u not in mae_by_user]
-                if missing:
-                    raise InputError(f"task {record.task_id}: no control MAE for users {missing}")
-                maes = [mae_by_user[u] for u, _ in record.age_votes]
+                maes = [mae_by_user[u] for u, _ in bucket["age"]]
                 out["age"] = weighted_mean_age_oracle(votes, maes)
             elif method == "max_likelihood":
                 out["age"] = max_likelihood_oracle(votes)
             else:
                 out["age"] = baseline_aggregate(votes, method)
             if not math.isfinite(out["age"]):
-                raise NumericalError(f"task {record.task_id}: aggregated age is not finite")
-        if record.gender_votes:
-            out["gender"] = aggregate_gender_oracle([g for _, g in record.gender_votes])
+                raise NumericalError(f"task {task}: aggregated age is not finite")
+        if bucket["gender"]:
+            out["gender"] = aggregate_gender_oracle([g for _, g in bucket["gender"]])
         results.append(out)
     return results
+
+
+@contextlib.contextmanager
+def vote_oracles_in_cli():
+    """`agegender aggregate` through the per-task oracle pipeline: the same
+    readers, `score_users` and writer, with `collect_vote_records_oracle`
+    and `aggregate_tasks_oracle` in place of the columnar pair."""
+    with mock.patch.object(cli, "collect_vote_records", collect_vote_records_oracle), \
+            mock.patch.object(cli, "aggregate_tasks", aggregate_tasks_oracle):
+        yield
 
 
 def bilinear_resize_oracle(image, out_h, out_w):
@@ -361,6 +382,20 @@ def prepare_crop_oracle(image, bbox, target):
     return normalize_channels_oracle(letterbox_oracle(crop, target))
 
 
+def detach_objects_oracle(body, crop, others, fill=CHANNEL_MEAN):
+    """Occluder fill one detection at a time: clamp its box to the crop
+    with max/min and fill the box through the [h, w, c] layout."""
+    out = crop.copy()
+    h, w = out.shape[:2]
+    for det in others:
+        b = det.bbox
+        x0, y0 = max(b.x0 - body.x0, 0), max(b.y0 - body.y0, 0)
+        x1, y1 = min(b.x1 - body.x0, w), min(b.y1 - body.y0, h)
+        if x1 > x0 and y1 > y0:
+            out[y0:y1, x0:x1] = fill
+    return out
+
+
 def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indices):
     """Pair preprocessing that builds both sides in full, as `pair` once
     did: the face and body crops are clamped twice, copied and
@@ -373,7 +408,7 @@ def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indic
     if face_bbox is not None:
         fb = face_bbox.clamped(w, h)
         face_crop, fb = crop_image(image, fb)
-        face_crop = detach_objects(fb, face_crop, others)
+        face_crop = detach_objects_oracle(fb, face_crop, others)
         record["face_bbox"] = fb.as_list()
         record["face_offset"] = [0, 0]
         record["face_crop"] = face_crop
@@ -381,7 +416,7 @@ def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indic
     if body_bbox is not None:
         bb = body_bbox.clamped(w, h)
         body_crop, bb = crop_image(image, bb)
-        body_crop = detach_objects(bb, body_crop, others)
+        body_crop = detach_objects_oracle(bb, body_crop, others)
         trimmed, offset = trim(body_crop)
         if trimmed is None or not discard_if_small(trimmed, bb):
             record["body_bbox"] = None

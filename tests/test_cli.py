@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 
@@ -14,6 +15,7 @@ from agegender.data import (
 )
 from agegender.fusion import FaceBodyModel
 from agegender.pairing import BBox, Detection
+from agegender.votes import BASELINE_METHODS
 
 
 def run(argv):
@@ -504,6 +506,60 @@ def test_aggregate_missing_mae_wins_over_earlier_overflow(tmp_path, capsys):
     votes = [{**VOTES[0], "age": 1e308}, {"task": "t2", "user": "ghost", "age": 20, "gender": None}]
     assert _aggregate_code(tmp_path, votes, CONTROLS) == 1
     assert "task t2: no control MAE for users ['ghost']" in capsys.readouterr().err
+
+
+# control MAEs on, below and just above the 0.5-year floor
+EDGE_CONTROL_MAES = (0.0, 0.25, 0.5, float(np.nextafter(0.5, 1.0)), 0.75)
+
+
+@functools.lru_cache(maxsize=1)
+def _prep_mix_files(seed=31, tasks=2000, users=300, votes_per_task=10):
+    """Votes and controls (ndjson text) in the benchmark's prep mix: each
+    task gets votes from distinct annotators of varying skill. One vote in
+    twenty has a null age and one in twenty a null gender, a tenth of the
+    tasks alternate their gender votes (5-5 ties when none is null), and
+    users u0-u4 have the control MAEs of EDGE_CONTROL_MAES."""
+    rng = np.random.default_rng(seed)
+    skill = rng.uniform(0.5, 12.0, users)
+    controls = [{"user": f"u{u}", "voted": mae, "truth": 0.0} for u, mae in enumerate(EDGE_CONTROL_MAES)]
+    for u in range(len(EDGE_CONTROL_MAES), users):
+        truth = rng.integers(1, 90, 10)
+        voted = np.clip(np.round(truth + rng.normal(0.0, skill[u], 10)), 0, 100)
+        controls += [{"user": f"u{u}", "voted": float(v), "truth": float(t)} for v, t in zip(voted, truth)]
+    votes = []
+    for t in range(tasks):
+        age, tie, gender = rng.uniform(1.0, 90.0), rng.random() < 0.1, int(rng.random() < 0.5)
+        for j, u in enumerate(rng.choice(users, votes_per_task, replace=False)):
+            vote = float(np.clip(np.round(age + rng.normal(0.0, skill[u])), 0, 100))
+            g = ("male", "female")[j % 2 if tie else gender ^ (rng.random() < 0.1)]
+            null = rng.random()
+            votes.append({"task": f"t{t}", "user": f"u{u}", "age": None if null < 0.05 else vote,
+                          "gender": None if 0.05 <= null < 0.1 else g})
+    return "".join(json.dumps(row) + "\n" for row in votes), "".join(json.dumps(row) + "\n" for row in controls)
+
+
+@pytest.mark.parametrize("method", ("weighted_mean",) + BASELINE_METHODS)
+def test_aggregate_is_byte_identical_to_the_oracle_pipeline(method, tmp_path):
+    from oracles import vote_oracles_in_cli
+
+    votes, controls = _prep_mix_files()
+    (tmp_path / "votes.jsonl").write_text(votes)
+    (tmp_path / "controls.jsonl").write_text(controls)
+
+    def aggregate(name):
+        out, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_users.jsonl"
+        assert run(["aggregate", "--votes", str(tmp_path / "votes.jsonl"), "--controls",
+                    str(tmp_path / "controls.jsonl"), "--method", method, "--out", str(out),
+                    "--user-report", str(report)]) == 0
+        return out.read_bytes(), report.read_bytes()
+
+    got = aggregate("columnar")
+    with vote_oracles_in_cli():
+        want = aggregate("oracle")
+    assert got == want
+    rows = [json.loads(line) for line in got[0].splitlines()]
+    assert len(rows) == 2000 and {"male", "female", "rejected"} <= {row["gender"] for row in rows}
+    assert {json.loads(line)["mae"] for line in got[1].splitlines()} >= set(EDGE_CONTROL_MAES)
 
 
 def _npy_bytes(arr):

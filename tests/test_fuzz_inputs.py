@@ -1,11 +1,16 @@
 """Mutated `pair`, `aggregate` and `eval` inputs through the command line.
 
 Fields and rows of detection manifests, votes, controls and sample
-manifests, the header and payload length of PPM images, and the dtype,
-shape, values and length of `.npy` images, are mutated at random. Every
+manifests, the header and payload length of PPM images, the dtype,
+shape, values and length of `.npy` images, and the header fields and
+payload bytes of checkpoints, are mutated at random. Every
 case must exit 0, 1 or 2 without an exception escaping `cli.main`; a run
 that exits 0 must write strict JSON (no NaN or Infinity), and any other
-exit must print its reason.
+exit must print its reason. A sample manifest with one box of the wrong
+JSON type or one unknown gender must exit 1 naming its `path:line`. Every
+mutated votes or controls file also goes through the per-task oracle
+pipeline, which must exit alike, print the same reason and write the same
+bytes.
 """
 
 import contextlib
@@ -22,9 +27,11 @@ from hypothesis import strategies as st
 
 from agegender.checkpoint import save_model
 from agegender.cli import main
-from agegender.config import micro_config
+from agegender.config import ModelConfig, micro_config
 from agegender.data import generate_synthetic_dataset, write_ppm
+from agegender.errors import ConfigError
 from agegender.fusion import FaceBodyModel
+from oracles import vote_oracles_in_cli
 
 SCENE_W, SCENE_H = 40, 30
 
@@ -75,6 +82,24 @@ def _containers(value):
     return found
 
 
+def _edit(draw, value, values=JSON_VALUES):
+    """One edit inside `value`: a field or item of one of its dicts or lists
+    set to one of `values`, deleted, or added."""
+    holder = draw(st.sampled_from(_containers(value)))
+    keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
+    op = draw(st.sampled_from(("set", "delete", "add")))
+    if op != "add" and keys:
+        key = draw(st.sampled_from(keys))
+        if op == "set":
+            holder[key] = draw(values)
+        else:
+            del holder[key]
+    elif isinstance(holder, dict):
+        holder[draw(st.text(max_size=3))] = draw(values)
+    else:
+        holder.append(draw(values))
+
+
 @st.composite
 def mutated_ndjson(draw, rows):
     """`rows` as newline-delimited JSON after one to three edits: a field,
@@ -82,19 +107,7 @@ def mutated_ndjson(draw, rows):
     deleted, or added; sometimes one line replaced by arbitrary text."""
     rows = copy.deepcopy(rows)
     for _ in range(draw(st.integers(1, 3))):
-        holder = draw(st.sampled_from(_containers(rows)))
-        keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
-        op = draw(st.sampled_from(("set", "delete", "add")))
-        if op != "add" and keys:
-            key = draw(st.sampled_from(keys))
-            if op == "set":
-                holder[key] = draw(JSON_VALUES)
-            else:
-                del holder[key]
-        elif isinstance(holder, dict):
-            holder[draw(st.text(max_size=3))] = draw(JSON_VALUES)
-        else:
-            holder.append(draw(JSON_VALUES))
+        _edit(draw, rows)
     lines = [json.dumps(row) for row in rows]
     if lines and draw(st.integers(0, 9)) == 0:
         lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=8))
@@ -147,6 +160,7 @@ def _reject_constant(name):
 
 
 def _run(argv, outputs):
+    """The exit code and, for a failed run, the last line it printed."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -156,8 +170,10 @@ def _run(argv, outputs):
             with open(path) as fh:
                 for line in fh:
                     json.loads(line, parse_constant=_reject_constant)
-    else:
-        assert err.getvalue().splitlines()[-1].startswith(("error: ", "numerical failure: "))
+        return code, None
+    last = err.getvalue().splitlines()[-1]
+    assert last.startswith(("error: ", "numerical failure: "))
+    return code, last
 
 
 def _scene_ppm():
@@ -191,9 +207,19 @@ def _aggregate(votes_text, controls_text):
         for path, text in ((votes, votes_text), (controls, controls_text)):
             with open(path, "w") as fh:
                 fh.write(text)
-        out, report = os.path.join(work, "aggregated.jsonl"), os.path.join(work, "users.jsonl")
-        _run(["aggregate", "--votes", votes, "--controls", controls, "--method", "weighted_mean",
-              "--out", out, "--user-report", report], [out, report])
+        results = []
+        for name, pipeline in (("columnar", contextlib.nullcontext()), ("oracle", vote_oracles_in_cli())):
+            out, report = os.path.join(work, f"{name}.jsonl"), os.path.join(work, f"{name}_users.jsonl")
+            with pipeline:
+                code, last = _run(["aggregate", "--votes", votes, "--controls", controls, "--method",
+                                   "weighted_mean", "--out", out, "--user-report", report], [out, report])
+            written = []
+            for path in (out, report):
+                if os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        written.append(fh.read())
+            results.append((code, last, written))
+        assert results[0] == results[1]
 
 
 def _eval_files():
@@ -214,16 +240,81 @@ def _eval_files():
 SAMPLES, EVAL_BLOBS = _eval_files()
 
 
-def _eval(samples_text, mode):
+def _eval(samples_text, mode, checkpoint=EVAL_BLOBS["model.ckpt"]):
     with tempfile.TemporaryDirectory() as work:
-        for name, blob in EVAL_BLOBS.items():
+        for name, blob in {**EVAL_BLOBS, "model.ckpt": checkpoint}.items():
             with open(os.path.join(work, name), "wb") as fh:
                 fh.write(blob)
         manifest = os.path.join(work, "manifest.jsonl")
         with open(manifest, "w") as fh:
             fh.write(samples_text)
-        _run(["eval", "--manifest", manifest, "--checkpoint", os.path.join(work, "model.ckpt"),
-              "--mode", mode], [])
+        return _run(["eval", "--manifest", manifest, "--checkpoint", os.path.join(work, "model.ckpt"),
+                     "--mode", mode], [])
+
+
+# bbox values of the wrong JSON type: a string of digits, a bool, a float,
+# three or five integers, or four entries one of which is a bool, a float
+# or a string of digits
+DIGITS = st.integers(0, 10**6).map(str)
+BAD_BBOXES = st.one_of(
+    DIGITS,
+    st.booleans(),
+    st.floats(),
+    st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    st.lists(st.integers(0, 40), min_size=5, max_size=5),
+    st.tuples(st.lists(st.integers(0, 40), min_size=4, max_size=4), st.integers(0, 3),
+              st.booleans() | st.floats() | DIGITS).map(lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),
+)
+UNKNOWN_GENDERS = (st.sampled_from(["Male", "FEMALE", "m", "f", "", "unknown"]) | JSON_VALUES).filter(
+    lambda g: g not in ("male", "female"))
+
+
+@st.composite
+def sample_manifest_with_a_bad_value(draw):
+    """The sample rows with one bbox of the wrong JSON type or one unknown
+    gender, and the line number of that row."""
+    rows = copy.deepcopy(SAMPLES)
+    line = draw(st.integers(0, len(rows) - 1))
+    field = draw(st.sampled_from(["face_bbox", "body_bbox", "gender"]))
+    rows[line][field] = draw(UNKNOWN_GENDERS if field == "gender" else BAD_BBOXES)
+    return _ndjson(rows), line + 1
+
+
+CHECKPOINT_HEADER, CHECKPOINT_PAYLOAD = EVAL_BLOBS["model.ckpt"].split(b"\n", 1)
+# config values small enough that a re-hashed config can only build a
+# model of micro size
+SMALL_VALUES = st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4)
+PAYLOAD_VALUES = [float("nan"), float("inf"), -1e38, 1e30, 0.0]
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    """The micro checkpoint after up to three header edits (any field of the
+    header or its config; a config edit sometimes with its hash redone, so
+    the edited config is read) and up to three payload edits (a byte
+    overwritten, a float32 overwritten by an extreme value, or the payload
+    cut or padded)."""
+    header, payload = json.loads(CHECKPOINT_HEADER), bytearray(CHECKPOINT_PAYLOAD)
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()) or not isinstance(header.get("config"), dict):
+            _edit(draw, header)
+        else:
+            _edit(draw, header["config"], SMALL_VALUES)
+            try:
+                header["config_hash"] = ModelConfig.from_dict(header["config"]).config_hash()
+            except ConfigError:  # an invalid config keeps the old hash
+                pass
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("byte", "float", "length")))
+        if op == "byte" and payload:
+            payload[draw(st.integers(0, len(payload) - 1))] = draw(st.integers(0, 255))
+        elif op == "float" and len(payload) >= 4:
+            at = 4 * draw(st.integers(0, len(payload) // 4 - 1))
+            payload[at:at + 4] = np.float32(draw(st.sampled_from(PAYLOAD_VALUES))).tobytes()
+        elif op == "length":
+            cut = draw(st.integers(-8, 8))
+            payload = payload[:cut] if cut < 0 else payload + bytes(cut)
+    return json.dumps(header).encode() + b"\n" + bytes(payload)
 
 
 def _ndjson(rows):
@@ -261,6 +352,16 @@ def test_aggregate_survives_mutated_controls(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(mutated_ndjson(SAMPLES), st.sampled_from(["face", "body", "both"]))
-def test_eval_survives_mutated_sample_manifest(text, mode):
-    _eval(text, mode)
+@given(mutated_ndjson(SAMPLES).map(lambda text: (text, None)) | sample_manifest_with_a_bad_value(),
+       st.sampled_from(["face", "body", "both"]))
+def test_eval_survives_mutated_sample_manifest(case, mode):
+    text, bad_line = case
+    code, last = _eval(text, mode)
+    if bad_line is not None:
+        assert code == 1 and f"manifest.jsonl:{bad_line}: " in last
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_checkpoint(), st.sampled_from(["face", "body", "both"]))
+def test_eval_survives_mutated_checkpoint(checkpoint, mode):
+    _eval(_ndjson(SAMPLES), mode, checkpoint)

@@ -424,6 +424,26 @@ def _crowded_scene(rng, people=24, w=320, h=240):
     return np.clip(image, 0.0, 1.0), detections
 
 
+def test_detach_objects_is_bitwise_the_box_loop_on_crowded_scenes():
+    from oracles import detach_objects_oracle
+
+    filled = 0
+    for seed in range(4):
+        image, dets = _crowded_scene(np.random.default_rng([seed, 3]))
+        h, w = image.shape[:2]
+        for k, det in enumerate(dets):
+            # the box itself, and the box shifted half outside the image
+            for box in (det.bbox, BBox(det.bbox.x0 - 20, det.bbox.y0 - 30, det.bbox.x1 - 20, det.bbox.y1 - 30)):
+                b = box.clamped(w, h)
+                others = dets[:k] + dets[k + 1:]
+                for crop in (image[b.y0:b.y1, b.x0:b.x1], image[b.y0:b.y1, b.x0:b.x1].astype(np.float32)):
+                    got, want = detach_objects(b, crop, others), detach_objects_oracle(b, crop, others)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    filled += not np.array_equal(got, crop)
+    assert filled > 100
+    assert detach_objects(b, crop, []).tobytes() == crop.tobytes()
+
+
 def test_pair_record_is_the_oracle_boxes_on_crowded_scenes():
     # every unit `pair` builds from a crowd, matched or single
     keys = ["face_bbox", "body_bbox", "face_offset", "body_offset"]

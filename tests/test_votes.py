@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from agegender.errors import InputError, NumericalError
 from agegender.votes import (
+    GENDERS,
     UserStat,
-    VoteRecord,
     aggregate_gender,
     aggregate_tasks,
     baseline_aggregate,
@@ -186,12 +187,19 @@ def test_user_stat_validation():
 
 
 def test_vote_record_validation():
-    with pytest.raises(InputError):
-        VoteRecord("t")
-    with pytest.raises(InputError):
-        VoteRecord("t", age_votes=[("u1", 30.0), ("u1", 40.0)])
-    with pytest.raises(InputError):
-        VoteRecord("t", gender_votes=[("u1", "robot")])
+    # (age, gender) votes of user u1 on task t, and the message they raise
+    cases = [
+        ([(None, None)], "no votes"),
+        ([(30.0, None), (40.0, None)], "duplicate age votes from one user"),
+        ([(None, "male"), (30.0, "female")], "duplicate gender votes from one user"),
+        ([(30.0, "robot")], "unknown gender vote 'robot'"),
+        ([(30.0, ["male"])], "unknown gender vote ['male']"),
+        ([(30.0, {"g": 1})], "unknown gender vote {'g': 1}"),
+        ([(30.0, True)], "unknown gender vote True"),
+    ]
+    for votes, message in cases:
+        rows = [{"task": "t", "user": "u1", "age": age, "gender": gender} for age, gender in votes]
+        assert _raised(collect_vote_records, rows) == (InputError, f"task t: {message}")
 
 
 def test_collect_and_aggregate_tasks():
@@ -260,18 +268,30 @@ def _vote_rows(n_tasks, n_users, rng):
     return rows
 
 
+def _buckets(table):
+    """The oracle's per-task buckets, read back from a VoteTable."""
+    buckets = []
+    for t, task in enumerate(table.task_ids):
+        votes = slice(table.offsets[t], table.offsets[t + 1])
+        users = [table.user_ids[u] for u in table.user[votes].tolist()]
+        ages, genders = table.age[votes].tolist(), table.gender[votes].tolist()
+        buckets.append({"task": task,
+                        "age": [(u, a) for u, a in zip(users, ages) if not math.isnan(a)],
+                        "gender": [(u, GENDERS[g]) for u, g in zip(users, genders) if g >= 0]})
+    return buckets
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_aggregate_tasks_equals_per_task_oracle(method):
     from oracles import aggregate_tasks_oracle, collect_vote_records_oracle
 
     rng = np.random.default_rng(11)
     rows = _vote_rows(2000, 40, rng)
-    records = collect_vote_records(rows)
-    assert records == collect_vote_records_oracle(rows)
-    counts = {len(r.age_votes) for r in records}
-    assert counts == set(range(0, 16))
+    table, buckets = collect_vote_records(rows), collect_vote_records_oracle(rows)
+    assert _buckets(table) == buckets
+    assert {len(b["age"]) for b in buckets} == set(range(0, 16))
     stats = _user_stats(40, rng)
-    assert aggregate_tasks(records, stats, method) == aggregate_tasks_oracle(records, stats, method)
+    assert aggregate_tasks(table, stats, method) == aggregate_tasks_oracle(buckets, stats, method)
 
 
 def test_weighted_mean_age_bitwise_equals_oracle():
@@ -309,27 +329,56 @@ def test_collect_errors_equal_oracle(extra):
     assert _raised(collect_vote_records, rows) == _raised(collect_vote_records_oracle, rows)
 
 
+def test_collect_reports_the_first_failing_task_as_the_oracle_does():
+    # small interleaved files where several tasks can fail, for different
+    # reasons: the same task and reason must be reported
+    from oracles import collect_vote_records_oracle
+
+    rng = np.random.default_rng(15)
+    genders = [None, "male", "female", "robot", ["male"], {"g": 1}]
+    outcomes = set()
+    for _ in range(600):
+        rows = [{"task": f"t{rng.integers(5)}", "user": f"u{rng.integers(3)}",
+                 "age": None if rng.random() < 0.4 else float(rng.integers(20, 40)),
+                 "gender": genders[int(rng.choice(6, p=[0.3, 0.3, 0.3, 0.04, 0.03, 0.03]))]}
+                for _ in range(int(rng.integers(1, 10)))]
+        try:
+            want = collect_vote_records_oracle(rows)
+        except InputError as exc:
+            assert _raised(collect_vote_records, rows) == (InputError, str(exc))
+            outcomes.add(str(exc).split(": ", 1)[1].partition(" vote ")[0])
+        else:
+            assert _buckets(collect_vote_records(rows)) == want
+            outcomes.add("ok")
+    assert outcomes == {"ok", "no votes", "duplicate age votes from one user",
+                        "duplicate gender votes from one user", "unknown gender"}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("extra", [
-    {"task": "t1", "user": "ghost", "age": 44.0, "gender": None},
-    {"task": "t0", "user": "u2", "age": 1e308, "gender": None},
-], ids=["missing_mae", "overflowing_age"])
+    [{"task": "t1", "user": "ghost", "age": 44.0, "gender": None}],
+    [{"task": "t0", "user": "u2", "age": 1e308, "gender": None}],
+    # two tasks miss MAEs: the first task is named, its users in vote order
+    [{"task": "t2", "user": "g0", "age": 1.0, "gender": None},
+     {"task": "t1", "user": "g2", "age": 44.0, "gender": None},
+     {"task": "t1", "user": "g1", "age": 45.0, "gender": None}],
+], ids=["missing_mae", "overflowing_age", "missing_mae_in_two_tasks"])
 def test_aggregate_errors_equal_oracle(extra):
-    from oracles import aggregate_tasks_oracle
+    from oracles import aggregate_tasks_oracle, collect_vote_records_oracle
 
-    records = collect_vote_records(GOOD_ROWS + [extra])
+    rows = GOOD_ROWS + extra
     stats = [UserStat("u1", 0.0, 100.0, 1), UserStat("u2", 0.4, 100.0, 1)]  # weights e^2
-    assert _raised(aggregate_tasks, records, stats) == _raised(aggregate_tasks_oracle, records, stats)
+    assert _raised(aggregate_tasks, collect_vote_records(rows), stats) == _raised(
+        aggregate_tasks_oracle, collect_vote_records_oracle(rows), stats)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_missing_mae_is_reported_before_an_earlier_overflow():
-    # the per-task oracle meets the overflow in t0 first; the columnar path
-    # looks every MAE up before it computes any age
-    records = collect_vote_records(GOOD_ROWS + [{"task": "t0", "user": "u2", "age": 1e308, "gender": None},
-                                                {"task": "t1", "user": "ghost", "age": 44.0, "gender": None}])
+    # t0 overflows, but every MAE is looked up before any age is computed
+    table = collect_vote_records(GOOD_ROWS + [{"task": "t0", "user": "u2", "age": 1e308, "gender": None},
+                                              {"task": "t1", "user": "ghost", "age": 44.0, "gender": None}])
     stats = [UserStat("u1", 0.0, 100.0, 1), UserStat("u2", 0.4, 100.0, 1)]  # weights e^2
-    assert _raised(aggregate_tasks, records, stats) == (
+    assert _raised(aggregate_tasks, table, stats) == (
         InputError, "task t1: no control MAE for users ['ghost']")
 
 
