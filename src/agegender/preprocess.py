@@ -37,18 +37,17 @@ def detach_objects(body: BBox, crop, others, fill=CHANNEL_MEAN):
     `crop` (a copy or a view of the image) was extracted at `body`;
     `others` are the detections to erase (any intersection counts,
     regardless of size). Returns a new image; `crop` is not written.
-    The boxes are clipped to the crop as one [n, 4] array, and each one
-    that keeps an area is filled row by row: a box row is one contiguous
-    run of the [h, w * channels] layout, copied from a pre-filled row.
+    The boxes are clipped to the crop as one [n, 4] array and each one
+    that keeps an area is filled. The array holds Python ints (dtype
+    object): a manifest coordinate may be any integer, and int64 would
+    overflow on one beyond its range or wrap in the offset subtraction.
     """
     out = crop.copy()
     h, w = out.shape[:2]
-    rows, c = out.reshape(h, -1), math.prod(out.shape[2:])
-    pattern = np.broadcast_to(np.asarray(fill, dtype=out.dtype), out.shape[1:]).reshape(-1)
-    boxes = np.array([d.bbox.as_list() for d in others], dtype=np.int64).reshape(-1, 4)
+    boxes = np.array([d.bbox.as_list() for d in others], dtype=object).reshape(-1, 4)
     boxes = np.clip(boxes - [body.x0, body.y0, body.x0, body.y0], 0, [w, h, w, h])
     for x0, y0, x1, y1 in boxes[(boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])].tolist():
-        rows[y0:y1, c * x0:c * x1] = pattern[c * x0:c * x1]
+        out[y0:y1, x0:x1] = fill
     return out
 
 

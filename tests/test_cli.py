@@ -325,6 +325,29 @@ def test_pair_malformed_detections_is_input_error(case, tmp_path, capsys):
     assert not (tmp_path / "pairs.jsonl").exists()
 
 
+@pytest.mark.parametrize("face", [
+    {"x0": 30, "y0": 5, "x1": 10**400, "y1": 20},
+    {"x0": -10**308, "y0": -(2**63) - 1, "x1": 45, "y1": 2**64},
+])
+def test_pair_fills_an_occluder_with_coordinates_beyond_int64(face, tmp_path, monkeypatch):
+    # the face overlaps both persons, so one person's crop erases it
+    import oracles
+    import agegender.preprocess
+
+    rows = [{"image": "scene.ppm", "detections": [
+        {"kind": "person", "x0": 0, "y0": 0, "x1": 40, "y1": 60},
+        {"kind": "person", "x0": 40, "y0": 0, "x1": 80, "y1": 60},
+        {"kind": "face", **face},
+    ]}]
+    ppm = _scene_ppm(tmp_path)
+    assert _pair_code(tmp_path, rows, ppm) == 0
+    got = (tmp_path / "pairs.jsonl").read_bytes()
+    monkeypatch.setattr(agegender.preprocess, "detach_objects", oracles.detach_objects_oracle)
+    assert _pair_code(tmp_path, rows, ppm) == 0
+    assert got == (tmp_path / "pairs.jsonl").read_bytes()
+    assert len(got.splitlines()) == 2
+
+
 MALFORMED_PPMS = {
     "promises_more_pixels": lambda blob: blob.replace(b"80 60", b"80 61", 1),
     "truncated_payload": lambda blob: blob[:-1],

@@ -352,13 +352,17 @@ def test_aggregate_survives_mutated_controls(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(mutated_ndjson(SAMPLES).map(lambda text: (text, None)) | sample_manifest_with_a_bad_value(),
-       st.sampled_from(["face", "body", "both"]))
-def test_eval_survives_mutated_sample_manifest(case, mode):
+@given(mutated_ndjson(SAMPLES), st.sampled_from(["face", "body", "both"]))
+def test_eval_survives_mutated_sample_manifest(text, mode):
+    _eval(text, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_manifest_with_a_bad_value(), st.sampled_from(["face", "body", "both"]))
+def test_eval_names_the_line_of_a_bad_sample_value(case, mode):
     text, bad_line = case
     code, last = _eval(text, mode)
-    if bad_line is not None:
-        assert code == 1 and f"manifest.jsonl:{bad_line}: " in last
+    assert code == 1 and f"manifest.jsonl:{bad_line}: " in last
 
 
 @settings(max_examples=150, deadline=None)

@@ -444,6 +444,24 @@ def test_detach_objects_is_bitwise_the_box_loop_on_crowded_scenes():
     assert detach_objects(b, crop, []).tobytes() == crop.tobytes()
 
 
+def test_detach_objects_clips_coordinates_beyond_int64_as_the_box_loop():
+    # manifest coordinates are any integers; the parent loop clipped them as Python ints
+    from oracles import detach_objects_oracle
+
+    crop = np.random.default_rng(4).random((40, 30, 3))
+    body = BBox(100, 200, 130, 240)
+    for box in [
+        BBox(110, 210, 10**400, 220),
+        BBox(-10**308, -10**30, 115, 205),
+        BBox(-(2**63) + 5, 210, 120, 2**63 + 5),  # int64 would wrap in `box - body`
+        BBox(-(2**63), -(2**63), -(2**63) + 10, -(2**63) + 10),
+    ]:
+        others = [Detection(box, "face"), Detection(BBox(90, 230, 105, 260), "person")]
+        got, want = detach_objects(body, crop, others), detach_objects_oracle(body, crop, others)
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, crop)
+
+
 def test_pair_record_is_the_oracle_boxes_on_crowded_scenes():
     # every unit `pair` builds from a crowd, matched or single
     keys = ["face_bbox", "body_bbox", "face_offset", "body_offset"]
