@@ -1,9 +1,12 @@
-"""Weight persistence, format `agegender-weights/3`: one JSON header line
+"""Weight persistence, format `agegender-weights/4`: one JSON header line
 (format, full config and its hashes, frozen paths, and `params`, the
 [name, shape] pairs in sorted name order), then each parameter's values as
 raw little-endian floats of the config's `dtype` (`<f4` or `<f8`) in that
-order, so round trips are bit-exact. Format 2 (always `<f8`, written
-before configs had a dtype) is refused with a message naming format 3.
+order, so round trips are bit-exact. The frozen paths are the parameters
+whose `requires_grad` is off, and loading turns it off for them again.
+Earlier formats are refused with a message naming format 4: format 3 has
+the same layout under a config with four more fields, format 2 an always
+`<f8` payload and no dtype.
 """
 
 from __future__ import annotations
@@ -14,25 +17,27 @@ import math
 import numpy as np
 
 from .config import ModelConfig
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .fusion import FaceBodyModel, init_params
 from .tensor import Tensor, check_finite
 
-FORMAT = "agegender-weights/3"
+FORMAT = "agegender-weights/4"
 
 
 def _payload_dtype(config):
     return np.dtype(config.dtype).newbyteorder("<")
 
 
-def save_checkpoint(path, params, config, frozen=()):
+def save_checkpoint(path, params, config):
+    """Write `params` {name: Tensor}; those that require no gradient are
+    recorded as frozen."""
     names = sorted(params)
     header = {
         "format": FORMAT,
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
         "arch_hash": config.arch_hash(),
-        "frozen": sorted(frozen),
+        "frozen": [name for name in names if not params[name].requires_grad],
         "params": [[name, list(params[name].shape)] for name in names],
     }
     dtype = _payload_dtype(config)
@@ -59,7 +64,7 @@ def load_checkpoint(path):
         payload = fh.read()
     try:
         header = json.loads(header_line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path}: bad checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise InputError(f"{path}: checkpoint header is not a JSON object")
@@ -69,7 +74,7 @@ def load_checkpoint(path):
         )
     try:
         config = ModelConfig.from_dict(header["config"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, ConfigError) as exc:
         raise InputError(f"{path}: bad checkpoint config: {exc!r}") from exc
     if config.config_hash() != header.get("config_hash"):
         raise InputError(f"{path}: config hash mismatch (corrupt or edited header)")
@@ -98,7 +103,7 @@ def load_checkpoint(path):
 
 
 def save_model(path, model: FaceBodyModel):
-    save_checkpoint(path, model.params, model.config, model.frozen)
+    save_checkpoint(path, model.params, model.config)
 
 
 def load_model(path):
@@ -117,9 +122,7 @@ def load_model(path):
         if arr.shape != expected[name].shape:
             raise InputError(f"{path}: {name}: shape {arr.shape} != {expected[name].shape}")
     params = {name: Tensor(arrays[name], requires_grad=name not in frozen) for name in expected}
-    model = FaceBodyModel(config, params=params)
-    model.frozen = frozen
-    return model
+    return FaceBodyModel(config, params=params)
 
 
 def init_from_single_input(face_checkpoint, config, enhancer_seed=None):

@@ -31,8 +31,6 @@ _ARCH_FIELDS = (
     "mlp_ratio",
     "head_hidden",
     "enhancer_heads",
-    "enhancer_bidirectional",
-    "pool",
 )
 
 DTYPES = ("float32", "float64")
@@ -51,8 +49,8 @@ _PROBABILITY_FIELDS = (
 _MAY_BE_ZERO = ("outlooker_blocks", "transformer_blocks", "warmup_steps", "max_steps", "seed")
 
 # field annotation (a string: annotations are postponed here) -> accepted
-# value types; bools are rejected as numbers
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+# value types; no field is a bool, and a bool is rejected as a number
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass
@@ -69,10 +67,6 @@ class ModelConfig:
     mlp_ratio: int = 3
     head_hidden: int = 128
     enhancer_heads: int = 2
-    enhancer_bidirectional: bool = True
-    # stand-in readout; the exact two-head composition upstream of the
-    # 3-vector is underdetermined, so the pooling choice is config-isolated
-    pool: str = "mean"
     # parameters, activations and gradients; AdamW keeps float64 state
     dtype: str = "float32"
     # age target range (dataset-level, stored in checkpoints)
@@ -91,10 +85,6 @@ class ModelConfig:
     adam_eps: float = 1e-8
     warmup_start_lr: float = 1e-6
     warmup_steps: int = 25
-    # lr is quoted for a reference batch size; linear scaling is the
-    # assumed rule and stays off unless explicitly enabled
-    base_batch_size: int = 192
-    scale_lr_with_batch: bool = False
     # schedule
     batch_size: int = 16
     epochs: int = 220
@@ -116,7 +106,7 @@ class ModelConfig:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             v = getattr(self, field.name)
-            if isinstance(v, bool) != (field.type == "bool") or not isinstance(v, _FIELD_TYPES[field.type]):
+            if isinstance(v, bool) or not isinstance(v, _FIELD_TYPES[field.type]):
                 raise ConfigError(f"{field.name} must be {field.type}, got {v!r}")
             low = 0 if field.name in _MAY_BE_ZERO else 1
             if field.type == "int" and v < low:
@@ -144,8 +134,6 @@ class ModelConfig:
             raise ConfigError("stage-2 width (2*stage1_width) must be divisible by attn_heads")
         if self.stage1_width % self.enhancer_heads:
             raise ConfigError("stage1_width must be divisible by enhancer_heads")
-        if self.pool not in ("mean",):
-            raise ConfigError(f"unknown pool mode {self.pool!r}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
         grid = self.image_side // self.patch_size
@@ -166,6 +154,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -176,10 +166,9 @@ class ModelConfig:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers an integer past Python's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must contain a JSON object")
         return cls.from_dict(data)
 
     def save(self, path):
@@ -188,8 +177,13 @@ class ModelConfig:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        """Read a UTF-8 JSON config; every fault in it is a ConfigError
+        naming the file."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json(fh.read())
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     # -- hashing -------------------------------------------------------------
 

@@ -65,10 +65,7 @@ class CropPair:
 
 def init_enhancer(params, rng, cfg):
     c = cfg.stage1_width
-    directions = ["enhancer.face_from_body"]
-    if cfg.enhancer_bidirectional:
-        directions.append("enhancer.body_from_face")
-    for prefix in directions:
+    for prefix in ("enhancer.face_from_body", "enhancer.body_from_face"):
         init_norm(params, prefix + ".norm_q", c)
         init_norm(params, prefix + ".norm_kv", c)
         for name in ("q", "k", "v", "proj"):
@@ -97,10 +94,7 @@ def enhance(params, face_tokens, body_tokens, cfg):
             f"enhance: face {face_tokens.shape} and body {body_tokens.shape} must match"
         )
     f = cross_attention_unit(params, "enhancer.face_from_body", face_tokens, body_tokens, cfg)
-    if cfg.enhancer_bidirectional:
-        b = cross_attention_unit(params, "enhancer.body_from_face", body_tokens, face_tokens, cfg)
-    else:
-        b = body_tokens
+    b = cross_attention_unit(params, "enhancer.body_from_face", body_tokens, face_tokens, cfg)
     cat = T.concat([f, b], axis=-1)  # [B, T, 2C]
     h = T.gelu(linear(params, "enhancer.fuse.fc1", lnorm(params, "enhancer.fuse.norm", cat)))
     return linear(params, "enhancer.fuse.fc2", h)  # [B, T, C]
@@ -146,9 +140,13 @@ class FaceBodyModel:
         if params is None:
             params = init_params(config, np.random.default_rng(config.seed) if rng is None else rng)
         self.params = params
-        self.frozen = set()
 
     # -- parameter bookkeeping ------------------------------------------------
+
+    @property
+    def frozen(self):
+        """Paths of the parameters that take no gradient."""
+        return {name for name, p in self.params.items() if not p.requires_grad}
 
     def freeze(self, prefix):
         """Freeze every parameter whose path starts with `prefix`."""
@@ -158,7 +156,6 @@ class FaceBodyModel:
         for name in hits:
             self.params[name].requires_grad = False
             self.params[name].grad = None
-            self.frozen.add(name)
 
     def zero_grads(self):
         for p in self.params.values():

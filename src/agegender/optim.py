@@ -15,17 +15,9 @@ import numpy as np
 from .errors import NumericalError
 
 
-def effective_lr(config):
-    """Base learning rate, linearly scaled by batch size when enabled."""
-    lr = config.learning_rate
-    if config.scale_lr_with_batch:
-        lr = lr * config.batch_size / config.base_batch_size
-    return lr
-
-
 def warmup_lr(step, config):
     """Linear ramp from the warmup rate to the base rate, constant after."""
-    base = effective_lr(config)
+    base = config.learning_rate
     horizon = config.warmup_steps
     if horizon <= 0 or step >= horizon:
         return base
@@ -36,25 +28,26 @@ def warmup_lr(step, config):
 class AdamW:
     """Standard decoupled update with bias-corrected moments.
 
-    Frozen parameter paths are skipped entirely; a missing gradient is a
-    zero gradient (the decay term still applies). `master` maps each
-    trained parameter to its float64 weights: the parameter's own array
-    when it is float64 (so float64 training is exactly the plain update),
-    a copy taken here when it is float32. After construction, change
-    trained parameters only through `step`: the master does not see a
-    direct write to a float32 parameter.
+    It trains exactly the parameters that require gradients when it is
+    built; a frozen parameter (`requires_grad` False) is never touched,
+    and freezing or unfreezing one later does not change that set. A
+    missing gradient is a zero gradient (the decay term still applies).
+    `master` maps each trained parameter to its float64 weights: the
+    parameter's own array when it is float64 (so float64 training is
+    exactly the plain update), a copy taken here when it is float32.
+    After construction, change trained parameters only through `step`:
+    the master does not see a direct write to a float32 parameter.
     """
 
-    def __init__(self, params, config, frozen=()):
+    def __init__(self, params, config):
         self.params = params
         self.config = config
-        self.frozen = set(frozen)
         self.step_count = 0
         self.master = {}
         self._m = {}
         self._v = {}
         for name, p in params.items():
-            if name not in self.frozen:
+            if p.requires_grad:
                 self.master[name] = p.data.astype(np.float64, copy=False)
                 self._m[name] = np.zeros(p.shape)
                 self._v[name] = np.zeros(p.shape)
@@ -62,19 +55,17 @@ class AdamW:
     def step(self, lr=None):
         cfg = self.config
         if lr is None:
-            lr = effective_lr(cfg)
+            lr = cfg.learning_rate
         self.step_count += 1
         t = self.step_count
         b1, b2 = cfg.beta1, cfg.beta2
         bias1 = 1.0 - b1**t
         bias2 = 1.0 - b2**t
-        for name, p in self.params.items():
-            if name in self.frozen:
-                continue
+        for name, w in self.master.items():
+            p = self.params[name]
             g = np.asarray(p.grad, dtype=np.float64) if p.grad is not None else np.zeros(p.shape)
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for {name}")
-            w = self.master[name]
             if cfg.weight_decay:
                 w -= lr * cfg.weight_decay * w
             m = self._m[name]

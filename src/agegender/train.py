@@ -78,7 +78,7 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
         kernel_size=config.lds_kernel_size,
         sigma=config.lds_sigma,
     )
-    optimizer = AdamW(model.params, config, frozen=model.frozen)
+    optimizer = AdamW(model.params, config)
     rng = np.random.default_rng(config.seed)
     image_of = _image_loader(manifest_path)
 

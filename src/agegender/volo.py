@@ -210,14 +210,14 @@ def init_head(params, prefix, rng, cfg):
 
 
 def head_forward(params, prefix, tokens, cfg, ctx=None):
-    """Pool tokens, two linear layers -> one 3-vector per sample.
+    """Mean-pool tokens, two linear layers -> one 3-vector per sample.
 
     Single joint head: [0:2] gender logits, [2] normalized age (left
     unbounded here; clamping happens at denormalization).
     """
     if tokens.shape[1] == 0:
         raise DimensionError("head needs a non-empty token set")
-    pooled = tokens.mean(axis=1)  # mean pooling; see config.pool
+    pooled = tokens.mean(axis=1)
     hidden = _dropout(T.gelu(linear(params, prefix + ".fc1", pooled)), ctx)
     out = linear(params, prefix + ".fc2", hidden)  # [B, 3]
     gender_logits = T.narrow(out, 1, 0, 2)

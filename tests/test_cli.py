@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import json
 
@@ -76,12 +77,23 @@ def _v1_text(blob):
     return (json.dumps(header) + "\nhead.fc2.bias\t3\t0.0 0.0 0.0\n").encode()
 
 
+def _rehash_config(edit):
+    """A config edited past its own checks, with the config hash to match."""
+    def apply(header):
+        config = edit(dict(header["config"]))
+        blob = json.dumps(config, sort_keys=True)
+        return {**header, "config": config, "config_hash": hashlib.sha256(blob.encode()).hexdigest()[:16]}
+    return _edit_header(apply)
+
+
 MALFORMED_CHECKPOINTS = {
     "not_json": lambda blob: b"\xff\xfe{{\n" + blob,
     "header_not_object": lambda blob: b"[1, 2]\n" + blob.split(b"\n", 1)[1],
     "v1_text": _v1_text,
     "missing_config": _drop("config"),
     "config_not_object": _set("config", [1, 2]),
+    "config_rehashed_bad_value": _rehash_config(lambda c: {**c, "image_side": None}),
+    "header_too_deep": lambda blob: b"[" * 100_000 + b"]" * 100_000 + b"\n" + blob.split(b"\n", 1)[1],
     "missing_params": _drop("params"),
     "missing_frozen": _drop("frozen"),
     "unknown_frozen": _set("frozen", ["no.such.param"]),
@@ -114,21 +126,30 @@ def test_eval_malformed_checkpoint_is_input_error(case, eval_inputs, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edited.ckpt" in err
     if case == "v1_text":
-        assert "agegender-weights/3" in err
+        assert "agegender-weights/4" in err
+    if case == "config_not_object":
+        assert "config must be a JSON object" in err
 
 
-def test_eval_format_2_checkpoint_names_format_3(eval_inputs, tmp_path, capsys):
-    # format 2: the same header layout with an always-float64 payload and
-    # no dtype in the config
+# format 3: this layout under a config with four more fields; format 2:
+# also an always-float64 payload and no dtype in the config
+FORMAT_3_ONLY_FIELDS = {"enhancer_bidirectional": True, "pool": "mean", "base_batch_size": 192,
+                       "scale_lr_with_batch": False}
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_eval_old_format_checkpoint_names_format_4(version, eval_inputs, tmp_path, capsys):
     line, payload = eval_inputs[1].split(b"\n", 1)
     header = json.loads(line)
-    header["format"] = "agegender-weights/2"
-    del header["config"]["dtype"]
-    v2 = np.frombuffer(payload, dtype="<f4").astype("<f8").tobytes()
-    assert _eval_code(eval_inputs, json.dumps(header).encode() + b"\n" + v2, tmp_path) == 1
+    header["format"] = f"agegender-weights/{version}"
+    header["config"].update(FORMAT_3_ONLY_FIELDS)
+    if version == 2:
+        del header["config"]["dtype"]
+        payload = np.frombuffer(payload, dtype="<f4").astype("<f8").tobytes()
+    assert _eval_code(eval_inputs, json.dumps(header).encode() + b"\n" + payload, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edited.ckpt" in err
-    assert "agegender-weights/2" in err and "agegender-weights/3" in err
+    assert f"agegender-weights/{version}" in err and "agegender-weights/4" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -155,14 +176,26 @@ def test_eval_non_finite_prediction_is_numerical_failure(tmp_path, capsys):
     assert err.startswith("numerical failure: ") and "non-finite" in err and "mae" not in out
 
 
-def test_train_unknown_config_key_is_input_error(tmp_path):
+MALFORMED_CONFIGS = {
+    "unknown_key": b'{"learning_rate": 0.001, "mystery": 3}\n',
+    "not_utf8": b'{"learning_rate": 0.001, "seed": "\xff"}\n',
+    "too_deep": b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
+    "huge_integer": b'{"seed": ' + b"7" * 5_000 + b"}\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+def test_train_malformed_config_is_input_error(case, tmp_path, capsys):
     data = tmp_path / "data"
     run(["synth", "--n", "2", "--out", str(data)])
+    capsys.readouterr()
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text('{"learning_rate": 0.001, "mystery": 3}\n')
+    cfg_path.write_bytes(MALFORMED_CONFIGS[case])
     code = run(["train", "--manifest", str(data / "manifest.jsonl"),
                 "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg_path) in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -173,8 +206,8 @@ def test_train_unknown_config_key_is_input_error(tmp_path):
         ("patch_size", "true"),
         ("seed", "1.5"),
         ("learning_rate", "null"),
-        ("enhancer_bidirectional", "1"),
-        ("pool", "3"),
+        ("dtype", "3"),
+        ("dtype", "true"),
         # sizes, counts and head numbers the model cannot run
         ("patch_size", "0"),
         ("batch_size", "0"),

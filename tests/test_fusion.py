@@ -98,15 +98,6 @@ def test_cross_attention_rows_sum_to_one(rng):
     np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-12)
 
 
-def test_one_directional_ablation(rng):
-    cfg = micro_config(enhancer_bidirectional=False)
-    params = {}
-    init_enhancer(params, rng, cfg)
-    assert not any(n.startswith("enhancer.body_from_face") for n in params)
-    out = enhance(params, tokens(rng, cfg), tokens(rng, cfg), cfg)
-    assert out.shape == (1, cfg.token_count, cfg.stage1_width)
-
-
 # ---------------------------------------------------------------------------
 # crop pairs
 

@@ -14,7 +14,7 @@ from agegender.config import micro_config, tiny_config
 from agegender.data import SampleRecord, synth_sample
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair, FaceBodyModel
-from agegender.optim import AdamW, effective_lr, warmup_lr
+from agegender.optim import AdamW, warmup_lr
 from agegender.pairing import BBox
 from agegender.preprocess import CHANNEL_MEAN
 from agegender.tensor import Tensor
@@ -110,14 +110,15 @@ def test_adamw_float32_keeps_decay_below_float32_resolution():
 def test_adamw_skips_frozen():
     cfg = tiny_config(learning_rate=0.1, weight_decay=0.1)
     p = Tensor([1.0], requires_grad=True)
-    q = Tensor([1.0], requires_grad=True)
+    q = Tensor([1.0], requires_grad=False)
     p.grad = np.array([0.5])
     q.grad = np.array([0.5])
-    opt = AdamW({"p": p, "q": q}, cfg, frozen={"q"})
+    opt = AdamW({"p": p, "q": q}, cfg)
     for _ in range(3):
         opt.step()
     assert q.data[0] == 1.0
     assert p.data[0] != 1.0
+    assert list(opt.master) == ["p"]
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +132,6 @@ def test_warmup_endpoints_and_midpoint():
     assert warmup_lr(25, cfg) == 1.5e-5
     mid = warmup_lr(5, cfg)
     assert abs(mid - (1e-6 + 1.5e-5) / 2) < 1e-12
-
-
-def test_lr_batch_scaling_flag():
-    cfg = tiny_config(learning_rate=1.5e-5, batch_size=96, base_batch_size=192)
-    assert effective_lr(cfg) == 1.5e-5
-    scaled = tiny_config(
-        learning_rate=1.5e-5, batch_size=96, base_batch_size=192, scale_lr_with_batch=True
-    )
-    assert effective_lr(scaled) == pytest.approx(7.5e-6, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +415,7 @@ def test_frozen_weights_unchanged_by_training_steps(tmp_path):
     save_model(src_path, FaceBodyModel(cfg))
     model = init_from_single_input(src_path, cfg)
     frozen_before = {n: model.params[n].data.copy() for n in model.frozen}
-    opt = AdamW(model.params, cfg, frozen=model.frozen)
+    opt = AdamW(model.params, cfg)
     rng = np.random.default_rng(0)
     for _ in range(3):
         faces = rng.random((2, 3, 32, 32))
