@@ -16,6 +16,10 @@ from .fusion import CropPair
 from .pairing import BBox
 from .preprocess import CHANNEL_MEAN, letterbox, normalize_channels
 
+# share of the crop that one random erase covers, drawn uniformly
+ERASE_AREA_MIN = 0.02
+ERASE_AREA_MAX = 0.2
+
 
 def jitter_bbox(bbox: BBox, magnitude, rng, img_w, img_h, attempts=5):
     """Uniform relative shift and scale, clamped to the image.
@@ -79,7 +83,7 @@ def augment(record, image, rng, config):
             crop = crop[:, ::-1]
         crop = letterbox(crop, config.image_side)
         if do_erase:
-            crop = random_erase_region(crop, rng, config.erase_area_min, config.erase_area_max)
+            crop = random_erase_region(crop, rng, ERASE_AREA_MIN, ERASE_AREA_MAX)
         return normalize_channels(crop)
 
     return CropPair(face=one_side(record.face_bbox), body=one_side(record.body_bbox))

@@ -1,12 +1,12 @@
-"""Weight persistence, format `agegender-weights/4`: one JSON header line
+"""Weight persistence, format `agegender-weights/5`: one JSON header line
 (format, full config and its hashes, frozen paths, and `params`, the
 [name, shape] pairs in sorted name order), then each parameter's values as
 raw little-endian floats of the config's `dtype` (`<f4` or `<f8`) in that
 order, so round trips are bit-exact. The frozen paths are the parameters
 whose `requires_grad` is off, and loading turns it off for them again.
-Earlier formats are refused with a message naming format 4: format 3 has
-the same layout under a config with four more fields, format 2 an always
-`<f8` payload and no dtype.
+Earlier formats are refused with a message naming format 5: format 4 has
+the same layout under a config with nine more fields, format 3 with four
+more again, format 2 an always `<f8` payload and no dtype.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConfigError, InputError
 from .fusion import FaceBodyModel, init_params
 from .tensor import Tensor, check_finite
 
-FORMAT = "agegender-weights/4"
+FORMAT = "agegender-weights/5"
 
 
 def _payload_dtype(config):
@@ -125,12 +125,13 @@ def load_model(path):
     return FaceBodyModel(config, params=params)
 
 
-def init_from_single_input(face_checkpoint, config, enhancer_seed=None):
+def init_from_single_input(face_checkpoint, config):
     """Warm-start the dual-input model from a single-input (face) run.
 
     The body patch embedding is copied from the face one, the trunk and
     head are copied, the feature enhancer is freshly random, and the face
-    patch embedding is frozen (it is already trained). Copied weights are
+    patch embedding is frozen (it is already trained). The enhancer is
+    drawn from `config.seed`, like a fresh model's. Copied weights are
     cast to the target config's dtype, which may differ from the source's.
     """
     arrays, src_config, _ = load_checkpoint(face_checkpoint)
@@ -139,8 +140,7 @@ def init_from_single_input(face_checkpoint, config, enhancer_seed=None):
             f"{face_checkpoint}: architecture hash {src_config.arch_hash()} does not match "
             f"target config {config.arch_hash()}; refusing to transfer weights"
         )
-    seed = config.seed if enhancer_seed is None else enhancer_seed
-    model = FaceBodyModel(config, rng=np.random.default_rng(seed))
+    model = FaceBodyModel(config)
     for name in model.params:
         if name.startswith("enhancer."):
             continue  # keep the fresh random init

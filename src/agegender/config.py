@@ -7,6 +7,9 @@ training. Two hashes matter: `config_hash` covers every field,
 checkpoint compatibility actually needs. `dtype` is the model's compute
 and storage precision; it is not part of `arch_hash`, so weights transfer
 between a float32 and a float64 model.
+
+Standard constants that no run changes are not fields; each lives beside
+its one reader (`optim`, `losses`, `augment`, `train`).
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ _ARCH_FIELDS = (
 DTYPES = ("float32", "float64")
 
 _PROBABILITY_FIELDS = (
-    "drop_rate",
-    "drop_path_rate",
     "body_input_dropout",
     "face_input_dropout",
     "hflip_prob",
     "erase_prob",
 )
+
+# a rate of 1 would keep nothing and rescale the kept part by 1 / 0
+_DROP_RATES = ("drop_rate", "drop_path_rate")
 
 # int fields that may be 0; every other int is a size, count or head
 # number and must be at least 1
@@ -74,21 +78,14 @@ class ModelConfig:
     y_max: float = 100.0
     # losses
     gender_loss_weight: float = 0.03
-    lds_kernel_size: int = 5
-    lds_sigma: float = 2.0
-    lds_bin_width: float = 1.0
     # optimizer
     learning_rate: float = 1.5e-5
     weight_decay: float = 5e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_start_lr: float = 1e-6
     warmup_steps: int = 25
     # schedule
     batch_size: int = 16
-    epochs: int = 220
-    max_steps: int = 0  # 0: derive the budget from epochs
+    max_steps: int = 0  # 0: train.EPOCHS passes over the data
     log_every: int = 10
     # regularization
     drop_rate: float = 0.32
@@ -99,8 +96,6 @@ class ModelConfig:
     jitter: float = 0.45
     hflip_prob: float = 0.5
     erase_prob: float = 0.5
-    erase_area_min: float = 0.02
-    erase_area_max: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -115,6 +110,10 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
+        for name in _DROP_RATES:
+            v = getattr(self, name)
+            if not 0.0 <= v < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {v}")
         if self.body_input_dropout + self.face_input_dropout > 1.0:
             raise ConfigError(
                 "body_input_dropout + face_input_dropout must not exceed 1 "

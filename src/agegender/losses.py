@@ -43,15 +43,17 @@ class AgeNormalizer:
 
 
 # ---------------------------------------------------------------------------
-# label distribution smoothing
+# label distribution smoothing (Yang et al., arXiv:2102.09554)
+
+LDS_BIN_WIDTH = 1.0
+LDS_KERNEL_SIZE = 5
+LDS_SIGMA = 2.0
 
 
 def gaussian_kernel(size, sigma):
     """Symmetric normalized Gaussian window; size 1 disables smoothing."""
     if size < 1 or size % 2 == 0:
         raise InputError(f"kernel size must be odd and >= 1, got {size}")
-    if size == 1:
-        return np.ones(1)
     half = size // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     k = np.exp(-(x * x) / (2.0 * sigma * sigma))
@@ -65,13 +67,11 @@ class LdsWeights:
     outside the histogram support clamp to the nearest bin.
     """
 
-    def __init__(self, ages, bin_width=1.0, kernel_size=5, sigma=2.0):
+    def __init__(self, ages, bin_width=LDS_BIN_WIDTH, kernel_size=LDS_KERNEL_SIZE, sigma=LDS_SIGMA):
         ages = np.asarray(ages, dtype=np.float64)
         if ages.size == 0:
             raise InputError("LDS needs a non-empty age histogram")
         self.bin_width = float(bin_width)
-        self.kernel_size = int(kernel_size)
-        self.sigma = float(sigma)
         self.lo = np.floor(ages.min() / bin_width) * bin_width
         n_bins = int(np.floor((ages.max() - self.lo) / bin_width)) + 1
         idx = np.clip(((ages - self.lo) / bin_width).astype(int), 0, n_bins - 1)

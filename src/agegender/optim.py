@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import NumericalError
 
+# the standard moment decay rates and eps (Loshchilov & Hutter, arXiv:1711.05101)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def warmup_lr(step, config):
     """Linear ramp from the warmup rate to the base rate, constant after."""
@@ -58,9 +63,8 @@ class AdamW:
             lr = cfg.learning_rate
         self.step_count += 1
         t = self.step_count
-        b1, b2 = cfg.beta1, cfg.beta2
-        bias1 = 1.0 - b1**t
-        bias2 = 1.0 - b2**t
+        bias1 = 1.0 - BETA1**t
+        bias2 = 1.0 - BETA2**t
         for name, w in self.master.items():
             p = self.params[name]
             g = np.asarray(p.grad, dtype=np.float64) if p.grad is not None else np.zeros(p.shape)
@@ -70,11 +74,11 @@ class AdamW:
                 w -= lr * cfg.weight_decay * w
             m = self._m[name]
             v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            w -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            w -= lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
             if w is not p.data:
                 p.data[...] = w
 

@@ -29,6 +29,8 @@ from .tensor import Tape, check_finite
 from .volo import TrainContext
 
 GENDER_INDEX = {"male": 0, "female": 1}
+# passes over the data when the config's max_steps is 0
+EPOCHS = 220
 EVAL_MODES = ("face", "body", "both")
 
 
@@ -72,12 +74,7 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
         model = FaceBodyModel(config)
 
     normalizer = AgeNormalizer.from_config(config)
-    lds = LdsWeights(
-        [r.age for r in records],
-        bin_width=config.lds_bin_width,
-        kernel_size=config.lds_kernel_size,
-        sigma=config.lds_sigma,
-    )
+    lds = LdsWeights([r.age for r in records])
     optimizer = AdamW(model.params, config)
     rng = np.random.default_rng(config.seed)
     image_of = _image_loader(manifest_path)
@@ -85,7 +82,7 @@ def train(manifest_path, config: ModelConfig, out_dir, init_from=None):
     n = len(records)
     batch = min(config.batch_size, n)
     steps_per_epoch = max(1, n // batch)
-    total_steps = config.max_steps or config.epochs * steps_per_epoch
+    total_steps = config.max_steps or EPOCHS * steps_per_epoch
 
     losses = []
     log_lines = []

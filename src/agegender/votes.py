@@ -121,17 +121,13 @@ def _max_likelihood(votes, bandwidth=KDE_BANDWIDTH, step=KDE_GRID_STEP):
     return float(grid[np.argmax(density)])
 
 
-def _winsorized_mean(votes, replaced_per_tail=None, fraction=0.3):
-    """Clamp the tails to the surviving order statistics, then average.
-
-    With the ten-vote overlap the default replaces 3 per tail, which
-    leaves the 6 central order statistics; other sizes use the fraction.
-    """
+def _winsorized_mean(votes, fraction=0.3):
+    """Replace floor(n*fraction) votes at each end with the nearest
+    surviving order statistic, then average; a fraction under 0.5 always
+    leaves one survivor (ten votes: 3 replaced per tail, 4 survive)."""
     xs = np.sort(votes)
     n = len(xs)
-    g = int(n * fraction) if replaced_per_tail is None else replaced_per_tail
-    if 2 * g >= n:
-        return float(np.median(xs))
+    g = int(n * fraction)
     xs[:g] = xs[g]
     xs[n - g:] = xs[n - g - 1]
     return float(xs.mean())
@@ -139,14 +135,12 @@ def _winsorized_mean(votes, replaced_per_tail=None, fraction=0.3):
 
 def _truncated_mean(votes, fraction=0.3):
     """Drop floor(n*fraction) votes from each end, average the rest (the
-    interquartile mean at fraction 0.25)."""
+    interquartile mean at fraction 0.25); a fraction under 0.5 always
+    leaves one."""
     xs = np.sort(votes)
     n = len(xs)
     g = int(n * fraction)
-    middle = xs[g:n - g]
-    if middle.size == 0:
-        return float(np.median(xs))
-    return float(middle.mean())
+    return float(xs[g:n - g].mean())
 
 
 _BASELINES = {

@@ -23,7 +23,7 @@ from scipy import stats as sps
 
 from agegender import cli
 from agegender import tensor as T
-from agegender.augment import jitter_bbox, random_erase_region
+from agegender.augment import ERASE_AREA_MAX, ERASE_AREA_MIN, jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair
 from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image, discard_if_small, trim
@@ -446,7 +446,7 @@ def augment_oracle(record, image, rng, config):
             crop = crop[:, ::-1].copy()
         crop = letterbox_oracle(crop, config.image_side)
         if do_erase:
-            crop = random_erase_region(crop, rng, config.erase_area_min, config.erase_area_max)
+            crop = random_erase_region(crop, rng, ERASE_AREA_MIN, ERASE_AREA_MAX)
         return normalize_channels_oracle(crop)
 
     return CropPair(face=one_side(record.face_bbox), body=one_side(record.body_bbox))

@@ -126,30 +126,35 @@ def test_eval_malformed_checkpoint_is_input_error(case, eval_inputs, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edited.ckpt" in err
     if case == "v1_text":
-        assert "agegender-weights/4" in err
+        assert "agegender-weights/5" in err
     if case == "config_not_object":
         assert "config must be a JSON object" in err
 
 
-# format 3: this layout under a config with four more fields; format 2:
-# also an always-float64 payload and no dtype in the config
+# format 4: this layout under a config with nine more fields; format 3:
+# four more again; format 2: also an always-float64 payload and no dtype
+FORMAT_4_ONLY_FIELDS = {"lds_kernel_size": 5, "lds_sigma": 2.0, "lds_bin_width": 1.0, "beta1": 0.9,
+                        "beta2": 0.999, "adam_eps": 1e-8, "epochs": 220, "erase_area_min": 0.02,
+                        "erase_area_max": 0.2}
 FORMAT_3_ONLY_FIELDS = {"enhancer_bidirectional": True, "pool": "mean", "base_batch_size": 192,
                        "scale_lr_with_batch": False}
 
 
-@pytest.mark.parametrize("version", [2, 3])
-def test_eval_old_format_checkpoint_names_format_4(version, eval_inputs, tmp_path, capsys):
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_eval_old_format_checkpoint_names_format_5(version, eval_inputs, tmp_path, capsys):
     line, payload = eval_inputs[1].split(b"\n", 1)
     header = json.loads(line)
     header["format"] = f"agegender-weights/{version}"
-    header["config"].update(FORMAT_3_ONLY_FIELDS)
+    header["config"].update(FORMAT_4_ONLY_FIELDS)
+    if version <= 3:
+        header["config"].update(FORMAT_3_ONLY_FIELDS)
     if version == 2:
         del header["config"]["dtype"]
         payload = np.frombuffer(payload, dtype="<f4").astype("<f8").tobytes()
     assert _eval_code(eval_inputs, json.dumps(header).encode() + b"\n" + payload, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "edited.ckpt" in err
-    assert f"agegender-weights/{version}" in err and "agegender-weights/4" in err
+    assert f"agegender-weights/{version}" in err and "agegender-weights/5" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -181,6 +186,11 @@ MALFORMED_CONFIGS = {
     "not_utf8": b'{"learning_rate": 0.001, "seed": "\xff"}\n',
     "too_deep": b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}\n",
     "huge_integer": b'{"seed": ' + b"7" * 5_000 + b"}\n",
+    # a rate of 1 keeps nothing: the dropout mask would divide by zero
+    "drop_rate_one": b'{"drop_rate": 1.0}\n',
+    "drop_path_rate_one": b'{"drop_path_rate": 1.0}\n',
+    # not a setting: AdamW's beta1 is the constant optim.BETA1
+    "removed_key": b'{"beta1": 0.9}\n',
 }
 
 
@@ -196,6 +206,8 @@ def test_train_malformed_config_is_input_error(case, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(cfg_path) in err and len(err.splitlines()) == 1
+    if case == "removed_key":
+        assert "beta1" in err
 
 
 @pytest.mark.parametrize(

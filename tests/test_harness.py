@@ -14,7 +14,7 @@ from agegender.config import micro_config, tiny_config
 from agegender.data import SampleRecord, synth_sample
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair, FaceBodyModel
-from agegender.optim import AdamW, warmup_lr
+from agegender.optim import BETA1, BETA2, EPS, AdamW, warmup_lr
 from agegender.pairing import BBox
 from agegender.preprocess import CHANNEL_MEAN
 from agegender.tensor import Tensor
@@ -44,12 +44,12 @@ def test_adamw_scalar_matches_reference():
     p.grad = np.array([0.4])
     opt = AdamW({"p": p}, cfg)
     opt.step()
-    expected = adamw_scalar_reference(1.7, 0.4, 0.1, 0.05, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    expected = adamw_scalar_reference(1.7, 0.4, 0.1, 0.05, BETA1, BETA2, EPS)
     np.testing.assert_allclose(p.data, [expected], rtol=1e-14)
     # and a second step with the same gradient
     p.grad = np.array([0.4])
     opt.step()
-    expected2 = adamw_scalar_reference(1.7, 0.4, 0.1, 0.05, cfg.beta1, cfg.beta2, cfg.adam_eps, steps=2)
+    expected2 = adamw_scalar_reference(1.7, 0.4, 0.1, 0.05, BETA1, BETA2, EPS, steps=2)
     np.testing.assert_allclose(p.data, [expected2], rtol=1e-13)
 
 
@@ -313,7 +313,7 @@ def test_init_from_single_input_casts_between_dtypes(source_dtype, target_dtype,
     source = FaceBodyModel(micro_config(seed=11, dtype=source_dtype))
     src_path = tmp_path / "face.ckpt"
     save_model(src_path, source)
-    model = init_from_single_input(src_path, micro_config(seed=11, dtype=target_dtype), enhancer_seed=5)
+    model = init_from_single_input(src_path, micro_config(seed=5, dtype=target_dtype))
     assert all(p.data.dtype == np.dtype(target_dtype) for p in model.params.values())
     for name, source_name in (("body_embed.weight", "face_embed.weight"), ("head.fc2.weight", "head.fc2.weight")):
         want = source.params[source_name].data.astype(target_dtype)
@@ -374,12 +374,11 @@ def test_checkpoint_detects_tampering(tmp_path):
 
 
 def test_init_from_single_input(tmp_path):
-    cfg = micro_config(seed=11)
-    source = FaceBodyModel(cfg)
+    source = FaceBodyModel(micro_config(seed=11))
     src_path = tmp_path / "face.ckpt"
     save_model(src_path, source)
 
-    model = init_from_single_input(src_path, cfg, enhancer_seed=5)
+    model = init_from_single_input(src_path, micro_config(seed=5))
     # body embedding is a bitwise copy of the trained face embedding
     np.testing.assert_array_equal(model.params["body_embed.weight"].data,
                                   source.params["face_embed.weight"].data)
@@ -391,9 +390,13 @@ def test_init_from_single_input(tmp_path):
     # the enhancer is fresh: different from the source and seed-dependent
     assert not np.array_equal(model.params["enhancer.fuse.fc1.weight"].data,
                               source.params["enhancer.fuse.fc1.weight"].data)
-    other = init_from_single_input(src_path, cfg, enhancer_seed=6)
+    other = init_from_single_input(src_path, micro_config(seed=6))
     assert not np.array_equal(model.params["enhancer.fuse.fc1.weight"].data,
                               other.params["enhancer.fuse.fc1.weight"].data)
+    # drawn from the config seed, as a fresh model's enhancer is
+    fresh = FaceBodyModel(micro_config(seed=5))
+    assert model.params["enhancer.fuse.fc1.weight"].data.tobytes() == \
+        fresh.params["enhancer.fuse.fc1.weight"].data.tobytes()
     # the face embedding is frozen
     assert "face_embed.weight" in model.frozen
     assert not model.params["face_embed.weight"].requires_grad
