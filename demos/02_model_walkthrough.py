@@ -22,12 +22,12 @@ print(f"tiny config: {cfg.image_side}px input, patch {cfg.patch_size}, "
       f"stage-1 width {cfg.stage1_width}, stage-2 width {cfg.stage2_width}")
 print(f"parameters: {model.parameter_count():,} in {len(model.params)} groups")
 
-faces = rng.random((2, 3, 64, 64))
-bodies = rng.random((2, 3, 64, 64))
+faces = rng.random((2, 64, 64, 3))  # channels-last crops
+bodies = rng.random((2, 64, 64, 3))
 
 print("\n== stage by stage ==")
-f_tokens = patch_embed(model.params, "face_embed", T.constant(np.transpose(faces, (0, 2, 3, 1))), cfg)
-b_tokens = patch_embed(model.params, "body_embed", T.constant(np.transpose(bodies, (0, 2, 3, 1))), cfg)
+f_tokens = patch_embed(model.params, "face_embed", T.constant(faces), cfg)
+b_tokens = patch_embed(model.params, "body_embed", T.constant(bodies), cfg)
 print("face tokens:", f_tokens.shape, " body tokens:", b_tokens.shape)
 fused = enhance(model.params, f_tokens, b_tokens, cfg)
 print("fused tokens (after cross-attention + concat + MLP):", fused.shape)
@@ -46,8 +46,8 @@ print("face-only forward:      ", l1, a1)
 print("face-only skip forward: ", l2, a2)
 print("bit-identical:", np.array_equal(l1, l2) and a1 == a2)
 
-batch = rng.random((64, 3, 64, 64))
-zeros = np.zeros((64, 3, 64, 64))
+batch = rng.random((64, 64, 64, 3))
+zeros = np.zeros((64, 64, 64, 3))
 model.forward_batch(zeros, batch)            # warm up
 model.forward_batch(zeros, batch, skip="face")
 t0 = time.perf_counter(); model.forward_batch(zeros, batch); t_full = time.perf_counter() - t0
@@ -55,6 +55,6 @@ t0 = time.perf_counter(); model.forward_batch(zeros, batch, skip="face"); t_skip
 print(f"64-pair batch: full {t_full*1e3:.0f} ms vs skip {t_skip*1e3:.0f} ms")
 
 print("\n== absent side == zero image, exactly ==")
-explicit = CropPair(face=faces[0], body=np.zeros((3, 64, 64)))
+explicit = CropPair(face=faces[0], body=np.zeros((64, 64, 3)))
 l3, a3 = model.forward_pair(explicit)
 print("flagged-absent vs explicit-zero bit-identical:", np.array_equal(l1, l3) and a1 == a3)

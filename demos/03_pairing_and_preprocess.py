@@ -11,7 +11,6 @@ from agegender import BBox, Detection, assign
 from agegender.preprocess import (
     CHANNEL_MEAN,
     build_pair_record,
-    crop_image,
     detach_objects,
     letterbox,
     normalize_channels,
@@ -40,7 +39,8 @@ print("unmatched faces:", result.unmatched_faces, " unmatched persons:", result.
 
 print("\n== body preprocessing for person A ==")
 body = persons[0]
-crop, clamped = crop_image(scene, body)
+clamped = body.clamped(scene.shape[1], scene.shape[0])
+crop = scene[clamped.y0:clamped.y1, clamped.x0:clamped.x1]
 others = [d for k, d in enumerate(detections) if k not in (0, 2)]  # everyone but A and A's face
 detached = detach_objects(clamped, crop, others)
 occluded = np.all(detached == CHANNEL_MEAN, axis=-1).mean()
@@ -50,7 +50,7 @@ print(f"after trim: {trimmed.shape[1]}x{trimmed.shape[0]} at offset {offset}")
 
 boxed = letterbox(trimmed, 64)
 tensor = normalize_channels(boxed)
-pad_fraction = float(np.all(tensor == 0.0, axis=0).mean())
+pad_fraction = float(np.all(tensor == 0.0, axis=-1).mean())
 print(f"letterboxed to {boxed.shape[1]}x{boxed.shape[0]}, normalized tensor {tensor.shape}")
 print(f"{pad_fraction:.1%} of the tensor is padding, and it normalizes to exactly zero")
 

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .fusion import CropPair, FaceBodyModel
 from .losses import AgeNormalizer, LdsWeights, combined_loss, gender_loss, weighted_mse
-from .metrics import ADIENCE_RANGES, ClassRanges, age_to_class, cs_at, mae
+from .metrics import cs_at, mae
 from .pairing import AssignmentResult, BBox, Detection, assign, hungarian
 from .tensor import Tape, Tensor, constant, parameter
 from .votes import aggregate_gender, baseline_aggregate, score_users, weighted_mean_age
@@ -24,11 +24,9 @@ from .votes import aggregate_gender, baseline_aggregate, score_users, weighted_m
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADIENCE_RANGES",
     "AgeNormalizer",
     "AssignmentResult",
     "BBox",
-    "ClassRanges",
     "ConfigError",
     "CropPair",
     "Detection",
@@ -41,7 +39,6 @@ __all__ = [
     "Tape",
     "TapeError",
     "Tensor",
-    "age_to_class",
     "aggregate_gender",
     "assign",
     "baseline_aggregate",

@@ -19,13 +19,15 @@ from .preprocess import CHANNEL_MEAN, letterbox, normalize_channels
 # share of the crop that one random erase covers, drawn uniformly
 ERASE_AREA_MIN = 0.02
 ERASE_AREA_MAX = 0.2
+# jitter draws tried before a collapsed box falls back to the unjittered one
+JITTER_ATTEMPTS = 5
 
 
-def jitter_bbox(bbox: BBox, magnitude, rng, img_w, img_h, attempts=5):
+def jitter_bbox(bbox: BBox, magnitude, rng, img_w, img_h):
     """Uniform relative shift and scale, clamped to the image.
 
-    A jitter that collapses the box is resampled up to `attempts` times,
-    then the unjittered (clamped) box is used.
+    A jitter that collapses the box is resampled up to `JITTER_ATTEMPTS`
+    times, then the unjittered (clamped) box is used.
     """
     if magnitude == 0.0:
         return bbox.clamped(img_w, img_h)
@@ -33,7 +35,7 @@ def jitter_bbox(bbox: BBox, magnitude, rng, img_w, img_h, attempts=5):
     h = bbox.height
     cx = (bbox.x0 + bbox.x1) / 2.0
     cy = (bbox.y0 + bbox.y1) / 2.0
-    for _ in range(attempts):
+    for _ in range(JITTER_ATTEMPTS):
         dx = rng.uniform(-magnitude, magnitude) * w
         dy = rng.uniform(-magnitude, magnitude) * h
         s = 1.0 + rng.uniform(-magnitude, magnitude)
@@ -50,24 +52,25 @@ def jitter_bbox(bbox: BBox, magnitude, rng, img_w, img_h, attempts=5):
     return bbox.clamped(img_w, img_h)
 
 
-def random_erase_region(crop, rng, area_min, area_max, fill=CHANNEL_MEAN):
-    """One random rectangle filled with the dataset mean."""
+def random_erase_region(crop, rng):
+    """One random rectangle, `ERASE_AREA_MIN` to `ERASE_AREA_MAX` of the
+    crop, filled with the dataset mean."""
     h, w = crop.shape[:2]
-    area = h * w * rng.uniform(area_min, area_max)
+    area = h * w * rng.uniform(ERASE_AREA_MIN, ERASE_AREA_MAX)
     aspect = np.exp(rng.uniform(np.log(0.3), np.log(1.0 / 0.3)))
     eh = max(1, min(h, int(round(np.sqrt(area * aspect)))))
     ew = max(1, min(w, int(round(np.sqrt(area / aspect)))))
     y0 = int(rng.integers(0, h - eh + 1))
     x0 = int(rng.integers(0, w - ew + 1))
     out = crop.copy()
-    out[y0:y0 + eh, x0:x0 + ew] = fill
+    out[y0:y0 + eh, x0:x0 + ew] = CHANNEL_MEAN
     return out
 
 
 def augment(record, image, rng, config):
     """Jitter boxes, crop, shared flip, letterbox, shared erase, normalize.
 
-    Returns a CropPair of normalized [3, S, S] crops.
+    Returns a CropPair of normalized channels-last [S, S, 3] crops.
     """
     img_h, img_w = image.shape[:2]
     do_flip = config.hflip_prob > 0 and rng.random() < config.hflip_prob
@@ -83,7 +86,7 @@ def augment(record, image, rng, config):
             crop = crop[:, ::-1]
         crop = letterbox(crop, config.image_side)
         if do_erase:
-            crop = random_erase_region(crop, rng, ERASE_AREA_MIN, ERASE_AREA_MAX)
+            crop = random_erase_region(crop, rng)
         return normalize_channels(crop)
 
     return CropPair(face=one_side(record.face_bbox), body=one_side(record.body_bbox))

@@ -35,7 +35,7 @@ from .volo import (
 class CropPair:
     """Preprocessed (face, body) input pair; either side may be absent."""
 
-    face: Optional[np.ndarray] = None  # [3, S, S] normalized crop
+    face: Optional[np.ndarray] = None  # [S, S, 3] normalized crop, channels-last
     body: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -50,10 +50,10 @@ class CropPair:
     def body_present(self):
         return self.body is not None
 
-    def as_arrays(self, side, dtype=np.float64):
-        """(face, body) arrays in `dtype`, with the zero image standing in
-        for absence."""
-        zero = np.zeros((3, side, side), dtype=dtype)
+    def as_arrays(self, side, dtype):
+        """(face, body) [side, side, 3] arrays in `dtype`, with the zero
+        image standing in for absence."""
+        zero = np.zeros((side, side, 3), dtype=dtype)
         face = self.face if self.face_present else zero
         body = self.body if self.body_present else zero
         return np.asarray(face, dtype=dtype), np.asarray(body, dtype=dtype)
@@ -169,8 +169,8 @@ class FaceBodyModel:
     def forward_batch(self, faces, bodies, ctx=None, skip=None):
         """Run a batch of (face, body) image pairs.
 
-        faces/bodies: [B, 3, S, S] arrays (zero image where absent), cast
-        to the model's dtype.
+        faces/bodies: channels-last [B, S, S, 3] arrays (zero image where
+        absent), cast to the model's dtype.
         skip: None, "face" or "body"; the named side is known absent for
         the whole batch and its embedding is substituted by the zero-input
         tokens (the embedding bias, tiled) instead of running the projection.
@@ -178,24 +178,26 @@ class FaceBodyModel:
         Returns (gender_logits [B, 2], age_norm [B]) tensors.
         """
         cfg = self.config
+        s = cfg.image_side
         batch = faces.shape[0] if skip != "face" else bodies.shape[0]
-        if skip == "face":
-            face_tokens = zero_input_tokens(self.params, "face_embed", cfg, batch)
-        else:
-            face_tokens = patch_embed(self.params, "face_embed", self._images(faces), cfg)
-        if skip == "body":
-            body_tokens = zero_input_tokens(self.params, "body_embed", cfg, batch)
-        else:
-            body_tokens = patch_embed(self.params, "body_embed", self._images(bodies), cfg)
-        fused = enhance(self.params, face_tokens, body_tokens, cfg)
+
+        def embed(side, images):
+            if skip == side:
+                return zero_input_tokens(self.params, side + "_embed", cfg, batch)
+            if np.shape(images)[1:] != (s, s, 3):
+                raise DimensionError(
+                    f"forward_batch: {side} images must be channels-last [B, {s}, {s}, 3], got {np.shape(images)}"
+                )
+            # cast inline: a cast copy kept alive through the projection
+            # shifts heap reuse enough to cost the skip path thousands of
+            # page faults per batch-64 forward
+            return patch_embed(self.params, side + "_embed", T.constant(np.asarray(images, dtype=self.dtype)), cfg)
+
+        fused = enhance(self.params, embed("face", faces), embed("body", bodies), cfg)
         g = cfg.grid_side
         grid = T.reshape(fused, (batch, g, g, cfg.stage1_width))
         tokens = trunk_forward(self.params, grid, cfg, ctx)
         return head_forward(self.params, "head", tokens, cfg, ctx)
-
-    def _images(self, images):
-        """[B, 3, S, S] -> channels-last [B, S, S, 3] constant in the model's dtype."""
-        return T.constant(np.transpose(np.asarray(images, dtype=self.dtype), (0, 2, 3, 1)))
 
     def forward_pair(self, pair: CropPair):
         """One pair -> (gender logits [2], normalized age scalar)."""

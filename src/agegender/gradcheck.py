@@ -109,8 +109,8 @@ def model_gradcheck(config, coords_per_param=16, h=DEFAULT_H, seed=0, batch=2):
     model = FaceBodyModel(dataclasses.replace(config, dtype="float64"))
     rng = np.random.default_rng(seed)
     side = config.image_side
-    faces = rng.random((batch, 3, side, side))
-    bodies = rng.random((batch, 3, side, side))
+    faces = rng.random((batch, side, side, 3))
+    bodies = rng.random((batch, side, side, 3))
     g0, a0 = model.forward_batch(faces, bodies)
     ages = a0.data + rng.uniform(-0.05, 0.05, batch)
     labels = list(np.argmax(g0.data, axis=1))

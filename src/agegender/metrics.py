@@ -1,9 +1,7 @@
-"""Evaluation metrics: MAE, cumulative score, gender accuracy, per-bin
-error curves, and the regression-to-classification range mapping."""
+"""Evaluation metrics: MAE, cumulative score, gender accuracy and per-bin
+error curves."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,49 +56,6 @@ def per_bin_mae(pred_years, target_years, bin_width=10):
         if mask.any():
             out[(lo, lo + bin_width - 1)] = float(np.mean(np.abs(p[mask] - t[mask])))
     return out
-
-
-# ---------------------------------------------------------------------------
-# classification range mapping
-
-
-@dataclass(frozen=True)
-class ClassRanges:
-    """Ordered, non-overlapping inclusive (lo, hi) year ranges."""
-
-    ranges: tuple
-
-    def __post_init__(self):
-        rs = tuple((float(lo), float(hi)) for lo, hi in self.ranges)
-        object.__setattr__(self, "ranges", rs)
-        for lo, hi in rs:
-            if hi < lo:
-                raise InputError(f"range ({lo}, {hi}) is inverted")
-        for (_, hi), (lo, _) in zip(rs, rs[1:]):
-            if lo <= hi:
-                raise InputError("ranges must be ascending and non-overlapping")
-
-    def __len__(self):
-        return len(self.ranges)
-
-
-# the eight-class protocol used by the classification benchmark
-ADIENCE_RANGES = ClassRanges(
-    ((0, 2), (4, 6), (8, 13), (15, 20), (25, 32), (38, 43), (48, 53), (60, 100))
-)
-
-
-def age_to_class(age, ranges: ClassRanges):
-    """Index of the range containing `age`; ages falling in a gap map to the
-    nearest range by boundary distance, ties to the lower index."""
-    best = None
-    for i, (lo, hi) in enumerate(ranges.ranges):
-        if lo <= age <= hi:
-            return i
-        dist = max(lo - age, age - hi, 0.0)
-        if best is None or dist < best[0]:
-            best = (dist, i)
-    return best[1]
 
 
 # ---------------------------------------------------------------------------

@@ -138,14 +138,3 @@ def assign(faces, persons):
     result.unmatched_faces = [i for i in range(len(faces)) if i not in matched_faces]
     result.unmatched_persons = [j for j in range(len(persons)) if j not in matched_persons]
     return result
-
-
-def assignment_cost(pairs, faces, persons):
-    """Total cost of a pairing, summed in face-index order."""
-    total = 0.0
-    for i, j in sorted(pairs):
-        c = overlap_cost(faces[i], persons[j])
-        if c is None:
-            raise InputError(f"pair ({i}, {j}) has zero overlap")
-        total += c
-    return total

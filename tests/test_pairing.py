@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import assignment_cost
+
 from agegender.errors import InputError
 from agegender.pairing import (
     BBox,
     Detection,
     assign,
-    assignment_cost,
     hungarian,
     overlap_cost,
 )
