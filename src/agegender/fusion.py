@@ -188,9 +188,9 @@ class FaceBodyModel:
                 raise DimensionError(
                     f"forward_batch: {side} images must be channels-last [B, {s}, {s}, 3], got {np.shape(images)}"
                 )
-            # cast inline: a cast copy kept alive through the projection
-            # shifts heap reuse enough to cost the skip path thousands of
-            # page faults per batch-64 forward
+            # cast inline, so the cast copy is freed before the projection
+            # runs: kept alive, it shifted heap reuse enough to make a
+            # batch-64 skip forward slower than the full one
             return patch_embed(self.params, side + "_embed", T.constant(np.asarray(images, dtype=self.dtype)), cfg)
 
         fused = enhance(self.params, embed("face", faces), embed("body", bodies), cfg)
