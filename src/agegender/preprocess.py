@@ -162,7 +162,7 @@ def normalize_channels(crop):
 
     Mean-filled padding maps to exactly 0. The work runs over the
     [H, W * 3] row view against the mean and std tiled to W * 3, so no
-    operation broadcasts over a trailing axis of 3.
+    per-pixel operation broadcasts over a trailing axis of 3.
     """
     h, w = crop.shape[:2]
     mean, std = np.empty((2, w, 3))  # filled as [W, 3]: cheaper than np.tile
