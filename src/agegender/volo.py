@@ -122,7 +122,7 @@ def zero_input_tokens(params, prefix, cfg, batch):
     """
     bias = params[prefix + ".bias"].data
     t = cfg.token_count
-    return T.constant(np.broadcast_to(bias, (batch, t, bias.shape[0])).copy())
+    return T.constant(np.broadcast_to(bias, (batch, t, bias.shape[0])))  # the tensor copies
 
 
 # ---------------------------------------------------------------------------
