@@ -2,17 +2,21 @@
 (format, full config and its hashes, frozen paths, and `params`, the
 [name, shape] pairs in sorted name order), then each parameter's values as
 raw little-endian floats of the config's `dtype` (`<f4` or `<f8`) in that
-order, so round trips are bit-exact. The frozen paths are the parameters
-whose `requires_grad` is off, and loading turns it off for them again.
-Earlier formats are refused with a message naming format 5: format 4 has
-the same layout under a config with nine more fields, format 3 with four
-more again, format 2 an always `<f8` payload and no dtype.
+order, so round trips are bit-exact. The `params` table must equal the
+layout of the config's architecture, and loading checks it against that
+layout and nothing else, for `load_model` and the warm start alike. The
+frozen paths are the parameters whose `requires_grad` is off, and loading
+turns it off for them again. Earlier formats are refused with a message
+naming format 5: format 4 has the same layout under a config with nine
+more fields, format 3 with four more again, format 2 an always `<f8`
+payload and no dtype.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -47,18 +51,12 @@ def save_checkpoint(path, params, config):
             fh.write(np.asarray(params[name].data, dtype=dtype).tobytes())
 
 
-def _is_param_entry(entry):
-    """[name, shape]: a string name and a list of non-negative int dims."""
-    return (
-        isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-        and isinstance(entry[1], list) and all(type(d) is int and d >= 0 for d in entry[1])
-    )
-
-
 def load_checkpoint(path):
-    """Returns (arrays {name: ndarray}, config, frozen set). The arrays are
-    read-only views of one buffer, in the config's dtype; a non-finite
-    value raises NumericalError."""
+    """Returns (arrays {name: ndarray} in `init_params` order, config,
+    frozen set). The header's `params` table must equal the architecture's
+    [name, shape] layout in sorted name order. The arrays are read-only
+    views of one buffer, in the config's dtype; a non-finite value raises
+    NumericalError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -78,16 +76,21 @@ def load_checkpoint(path):
         raise InputError(f"{path}: bad checkpoint config: {exc!r}") from exc
     if config.config_hash() != header.get("config_hash"):
         raise InputError(f"{path}: config hash mismatch (corrupt or edited header)")
+    # the architecture's layout, from placeholders: nothing is drawn
+    shapes = {name: p.shape for name, p in init_params(config, rng=None).items()}
+    names = sorted(shapes)
     table, frozen = header.get("params"), header.get("frozen")
-    if not isinstance(table, list) or not all(map(_is_param_entry, table)):
-        raise InputError(f"{path}: missing or malformed params table")
-    names = [name for name, _ in table]
-    if len(set(names)) != len(names):
-        raise InputError(f"{path}: duplicate names in params table")
+    layout = [[name, list(shapes[name])] for name in names]
+    if table != layout:
+        if not isinstance(table, list):
+            raise InputError(f"{path}: missing or malformed params table")
+        got, want = next((a, b) for a, b in zip_longest(table, layout) if a != b)
+        raise InputError(f"{path}: params table has {got!r} where the architecture has {want!r}")
+    # list membership: an unhashable JSON entry is simply not a name
     if not isinstance(frozen, list) or not all(name in names for name in frozen):
         raise InputError(f"{path}: frozen list missing or naming unknown parameters")
     dtype = _payload_dtype(config)
-    sizes = [math.prod(shape) for _, shape in table]
+    sizes = [math.prod(shapes[name]) for name in names]
     expected = sum(sizes) * dtype.itemsize
     if len(payload) != expected:
         raise InputError(
@@ -96,10 +99,10 @@ def load_checkpoint(path):
     flat = np.frombuffer(payload, dtype=dtype)
     ends = np.cumsum(sizes)
     arrays = {
-        name: check_finite(flat[end - size:end].reshape(shape), f"{path}: {name}")
-        for (name, shape), size, end in zip(table, sizes, ends)
+        name: check_finite(flat[end - size:end].reshape(shapes[name]), f"{path}: {name}")
+        for name, size, end in zip(names, sizes, ends)
     }
-    return arrays, config, set(frozen)
+    return {name: arrays[name] for name in shapes}, config, set(frozen)
 
 
 def save_model(path, model: FaceBodyModel):
@@ -107,21 +110,10 @@ def save_model(path, model: FaceBodyModel):
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint; structure must match exactly.
-
-    Names and shapes are checked against the config's architecture
-    (`init_params` placeholders); no random init is drawn.
-    """
+    """Rebuild a model from a checkpoint, frozen flags included; no random
+    init is drawn."""
     arrays, config, frozen = load_checkpoint(path)
-    expected = init_params(config, rng=None)
-    if set(arrays) != set(expected):
-        missing = sorted(set(expected) - set(arrays))
-        extra = sorted(set(arrays) - set(expected))
-        raise InputError(f"{path}: parameter set mismatch (missing {missing[:3]}, extra {extra[:3]})")
-    for name, arr in arrays.items():
-        if arr.shape != expected[name].shape:
-            raise InputError(f"{path}: {name}: shape {arr.shape} != {expected[name].shape}")
-    params = {name: Tensor(arrays[name], requires_grad=name not in frozen) for name in expected}
+    params = {name: Tensor(arr, requires_grad=name not in frozen) for name, arr in arrays.items()}
     return FaceBodyModel(config, params=params)
 
 
@@ -148,8 +140,6 @@ def init_from_single_input(face_checkpoint, config):
             source = "face_embed." + name[len("body_embed."):]
         else:
             source = name
-        if source not in arrays:
-            raise InputError(f"{face_checkpoint}: missing parameter {source}")
         model.params[name] = Tensor(np.asarray(arrays[source], dtype=model.dtype), requires_grad=True)
     model.freeze("face_embed")
     return model

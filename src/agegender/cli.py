@@ -131,7 +131,7 @@ def cmd_gradcheck(args):
     for name in sorted(per_param, key=per_param.get, reverse=True)[: args.top]:
         print(f"{per_param[name]:.3e}  {name}")
     print(f"max relative error {worst:.3e} over {len(per_param)} parameter groups")
-    if worst >= GRADCHECK_TOLERANCE:
+    if not worst < GRADCHECK_TOLERANCE:  # a NaN error fails too
         print(f"FAIL: exceeds tolerance {GRADCHECK_TOLERANCE:g}", file=sys.stderr)
         raise NumericalError(f"gradient check failed: {worst:.3e}")
     print(f"PASS: below tolerance {GRADCHECK_TOLERANCE:g}")

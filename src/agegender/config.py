@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -47,6 +48,9 @@ _PROBABILITY_FIELDS = (
 
 # a rate of 1 would keep nothing and rescale the kept part by 1 / 0
 _DROP_RATES = ("drop_rate", "drop_path_rate")
+
+# rates, weights and magnitudes that must not be negative
+_NON_NEGATIVE = ("learning_rate", "warmup_start_lr", "weight_decay", "gender_loss_weight", "jitter")
 
 # int fields that may be 0; every other int is a size, count or head
 # number and must be at least 1
@@ -106,6 +110,13 @@ class ModelConfig:
             low = 0 if field.name in _MAY_BE_ZERO else 1
             if field.type == "int" and v < low:
                 raise ConfigError(f"{field.name} must be at least {low}, got {v}")
+            # also refuses an int too large for a float
+            if field.type == "float" and not abs(v) <= sys.float_info.max:
+                raise ConfigError(f"{field.name} must be a finite number, got {v}")
+        for name in _NON_NEGATIVE:
+            v = getattr(self, name)
+            if v < 0:
+                raise ConfigError(f"{name} must be at least 0, got {v}")
         for name in _PROBABILITY_FIELDS:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

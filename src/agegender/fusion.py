@@ -177,6 +177,8 @@ class FaceBodyModel:
 
         Returns (gender_logits [B, 2], age_norm [B]) tensors.
         """
+        if skip not in (None, "face", "body"):
+            raise InputError(f"forward_batch: skip must be None, 'face' or 'body', got {skip!r}")
         cfg = self.config
         s = cfg.image_side
         batch = faces.shape[0] if skip != "face" else bodies.shape[0]

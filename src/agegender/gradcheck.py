@@ -8,9 +8,11 @@ floored at 1e-8.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
+from .errors import InputError
 from .tensor import Tape
 
 DEFAULT_H = 1e-5
@@ -69,7 +71,8 @@ def check_gradients(build_loss, params, coords_per_param=None, h=DEFAULT_H, rng=
     coords_per_param is given, that many flat coordinates are sampled per
     group with `rng`; otherwise every coordinate is checked.
 
-    Returns (max_rel_err, {name: rel_err}).
+    Returns (max_rel_err, {name: rel_err}); a NaN error in any group makes
+    the max NaN, which no tolerance passes.
     """
     analytic = analytic_grad(build_loss, params)
 
@@ -77,7 +80,6 @@ def check_gradients(build_loss, params, coords_per_param=None, h=DEFAULT_H, rng=
         return build_loss().item()
 
     per_param = {}
-    worst = 0.0
     for name, p in params.items():
         if coords_per_param is None or p.size <= coords_per_param:
             coords = list(range(p.size))
@@ -87,10 +89,9 @@ def check_gradients(build_loss, params, coords_per_param=None, h=DEFAULT_H, rng=
             coords = sorted(rng.choice(p.size, size=coords_per_param, replace=False).tolist())
         num = numeric_grad(loss_value, p, coords=coords, h=h)
         ana = analytic[name].reshape(-1)[coords]
-        err = relative_error(ana, num)
-        per_param[name] = err
-        worst = max(worst, err)
-    return worst, per_param
+        per_param[name] = relative_error(ana, num)
+    # np.max keeps a NaN, where max() would drop it
+    return float(np.max(list(per_param.values()), initial=0.0)), per_param
 
 
 def model_gradcheck(config, coords_per_param=16, h=DEFAULT_H, seed=0, batch=2):
@@ -102,7 +103,14 @@ def model_gradcheck(config, coords_per_param=16, h=DEFAULT_H, seed=0, batch=2):
     value stays small; that keeps central-difference cancellation noise
     below the tolerance for near-zero gradient entries (the error floor is
     one ulp of the loss divided by 2h).
+
+    `coords_per_param` must be at least 1 and `h` finite and positive, or
+    InputError: zero coordinates check nothing.
     """
+    if coords_per_param < 1:
+        raise InputError(f"gradcheck: coords per parameter group must be at least 1, got {coords_per_param}")
+    if not 0 < h < math.inf:  # NaN fails both comparisons
+        raise InputError(f"gradcheck: step h must be finite and positive, got {h}")
     from .fusion import FaceBodyModel
     from .losses import combined_loss, gender_loss, weighted_mse
 

@@ -8,7 +8,7 @@ import pytest
 
 from agegender.cli import main
 from agegender.config import micro_config, tiny_config
-from agegender.checkpoint import save_model
+from agegender.checkpoint import save_checkpoint, save_model
 from agegender.data import (
     read_sample_manifest,
     write_detection_manifest,
@@ -16,6 +16,7 @@ from agegender.data import (
 )
 from agegender.fusion import FaceBodyModel
 from agegender.pairing import BBox, Detection
+from agegender.tensor import Tensor
 from agegender.votes import BASELINE_METHODS
 
 
@@ -191,6 +192,18 @@ MALFORMED_CONFIGS = {
     "drop_path_rate_one": b'{"drop_path_rate": 1.0}\n',
     # not a setting: AdamW's beta1 is the constant optim.BETA1
     "removed_key": b'{"beta1": 0.9}\n',
+    # Python's json reads NaN and Infinity; every float must be finite
+    "jitter_nan": b'{"jitter": NaN}\n',
+    "learning_rate_inf": b'{"learning_rate": Infinity}\n',
+    "y_min_minus_inf": b'{"y_min": -Infinity}\n',
+    "y_max_nan": b'{"y_max": NaN}\n',
+    "y_max_too_large_for_a_float": b'{"y_max": 1' + b"0" * 400 + b'}\n',
+    # rates, weights and magnitudes that must not be negative
+    "gender_loss_weight_negative": b'{"gender_loss_weight": -1}\n',
+    "learning_rate_negative": b'{"learning_rate": -1e-3}\n',
+    "warmup_start_lr_negative": b'{"warmup_start_lr": -1e-6}\n',
+    "weight_decay_negative": b'{"weight_decay": -0.1}\n',
+    "jitter_negative": b'{"jitter": -0.2}\n',
 }
 
 
@@ -208,6 +221,31 @@ def test_train_malformed_config_is_input_error(case, tmp_path, capsys):
     assert err.startswith("error: ") and str(cfg_path) in err and len(err.splitlines()) == 1
     if case == "removed_key":
         assert "beta1" in err
+
+
+# a warm-start source saved under its own (matching) config, with one
+# parameter added, dropped or misshapen
+WARM_START_EDITS = {
+    "extra": lambda params: {**params, "head.extra": params["head.fc2.bias"]},
+    "missing_enhancer": lambda params: {n: p for n, p in params.items() if n != "enhancer.fuse.fc2.bias"},
+    "misshapen": lambda params: {**params, "head.fc2.bias": Tensor(np.zeros(4))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WARM_START_EDITS))
+def test_train_init_from_checks_the_source_against_the_architecture(case, tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["synth", "--n", "2", "--out", str(data)])
+    cfg = micro_config(max_steps=1, batch_size=2)
+    cfg.save(tmp_path / "config.json")
+    source = tmp_path / "face.ckpt"
+    save_checkpoint(source, WARM_START_EDITS[case](FaceBodyModel(cfg).params), cfg)
+    capsys.readouterr()
+    code = run(["train", "--manifest", str(data / "manifest.jsonl"), "--config", str(tmp_path / "config.json"),
+                "--out", str(tmp_path / "run"), "--init-from", str(source)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: params table has ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -533,6 +571,22 @@ def test_aggregate_weighted_without_controls_fails(tmp_path):
 
 def test_gradcheck_command_passes_on_default_config():
     assert run(["gradcheck", "--coords", "1", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--coords", "0"), ("--coords", "-1"), ("--h", "nan"),
+                                        ("--h", "inf"), ("--h", "0"), ("--h", "-1e-5")])
+def test_gradcheck_refuses_arguments_that_check_nothing(flag, value, capsys):
+    # zero coordinates compare nothing and a NaN step compares only NaN
+    assert run(["gradcheck", f"{flag}={value}"]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and err.startswith("error: gradcheck: ") and len(err.splitlines()) == 1
+
+
+def test_gradcheck_nan_error_fails(monkeypatch, capsys):
+    monkeypatch.setattr("agegender.cli.model_gradcheck", lambda *a, **k: (float("nan"), {"x": float("nan")}))
+    assert run(["gradcheck"]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and "FAIL" in err
 
 
 # a bad row on file line 4, after two blank lines

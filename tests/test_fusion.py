@@ -228,6 +228,16 @@ def test_skip_path_misuse(rng):
         model.forward_pair_skip(CropPair(face=img, body=img))
 
 
+@pytest.mark.parametrize("skip", ["both", "Face", "", 0, False])
+def test_forward_batch_refuses_unknown_skip(skip, rng):
+    # anything but None, "face" or "body" would silently run the full path
+    cfg = micro_config()
+    model = FaceBodyModel(cfg)
+    faces = crops(rng, cfg, 2)
+    with pytest.raises(InputError, match=re.escape(f"skip must be None, 'face' or 'body', got {skip!r}")):
+        model.forward_batch(faces, faces, skip=skip)
+
+
 def test_gradients_reach_both_embeddings(rng):
     cfg = micro_config()
     model = FaceBodyModel(cfg)

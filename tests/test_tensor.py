@@ -33,6 +33,13 @@ def fd_check(build_loss, params, tol, h=1e-5):
     assert worst < tol, f"finite differences disagree: {per_param}"
 
 
+def test_check_gradients_keeps_a_nan_error():
+    # max() would drop the NaN and report 0 for a check that compared nothing
+    x = parameter(np.array([1.0, 2.0]))
+    worst, per_param = check_gradients(lambda: (x * x).sum(), {"x": x}, h=float("nan"))
+    assert np.isnan(worst) and np.isnan(per_param["x"])
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
