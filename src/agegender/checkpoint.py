@@ -76,7 +76,7 @@ def load_checkpoint(path):
         raise InputError(f"{path}: bad checkpoint config: {exc!r}") from exc
     if config.config_hash() != header.get("config_hash"):
         raise InputError(f"{path}: config hash mismatch (corrupt or edited header)")
-    # the architecture's layout, from placeholders: nothing is drawn
+    # the architecture's layout, from placeholders: nothing is drawn or allocated
     shapes = {name: p.shape for name, p in init_params(config, rng=None).items()}
     names = sorted(shapes)
     table, frozen = header.get("params"), header.get("frozen")

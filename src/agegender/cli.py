@@ -22,8 +22,8 @@ from .data import (
 from .errors import ConfigError, DimensionError, InputError, NumericalError, TapeError
 from .gradcheck import model_gradcheck
 from .metrics import format_report
-from .pairing import assign
-from .preprocess import build_pair_record
+from .pairing import BBox, assign
+from .preprocess import FillTable
 from .train import evaluate, train
 from .votes import BASELINE_METHODS, aggregate_tasks, collect_vote_records, score_users
 
@@ -83,14 +83,12 @@ def cmd_pair(args):
         units.extend((face_idx[i], None) for i in result.unmatched_faces)
         units.extend((None, person_idx[j]) for j in result.unmatched_persons)
 
+        table = FillTable(image, dets, BBox(0, 0, width, height))  # one per image, cut per body
         for fi, pi in units:
-            self_indices = {i for i in (fi, pi) if i is not None}
-            record = build_pair_record(
-                image,
+            record = table.pair_record(
                 dets[fi].bbox if fi is not None else None,
                 dets[pi].bbox if pi is not None else None,
-                dets,
-                self_indices,
+                {i for i in (fi, pi) if i is not None},
             )
             if record["face_bbox"] is not None or record["body_bbox"] is not None:
                 rows.append({"image": image_path, **record})

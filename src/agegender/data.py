@@ -140,11 +140,14 @@ def _read_ndjson(path):
 
 
 def _finite(value, what, path, line):
-    """`value` as a finite float, or InputError naming `path:line`."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
+    """`value` as a finite float, or InputError naming `path:line`. Only a
+    JSON number counts: an int or a float, not a bool or a string."""
+    number = math.nan
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
     if not math.isfinite(number):
         raise InputError(f"{path}:{line}: {what} must be a finite number, got {value!r}")
     return number

@@ -66,11 +66,11 @@ class CropPair:
 def init_enhancer(params, rng, cfg):
     c = cfg.stage1_width
     for prefix in ("enhancer.face_from_body", "enhancer.body_from_face"):
-        init_norm(params, prefix + ".norm_q", c)
-        init_norm(params, prefix + ".norm_kv", c)
+        init_norm(params, prefix + ".norm_q", rng, c)
+        init_norm(params, prefix + ".norm_kv", rng, c)
         for name in ("q", "k", "v", "proj"):
             init_linear(params, f"{prefix}.{name}", rng, c, c)
-    init_norm(params, "enhancer.fuse.norm", 2 * c)
+    init_norm(params, "enhancer.fuse.norm", rng, 2 * c)
     init_linear(params, "enhancer.fuse.fc1", rng, 2 * c, 2 * c)
     init_linear(params, "enhancer.fuse.fc2", rng, 2 * c, c)
 
@@ -106,14 +106,17 @@ def enhance(params, face_tokens, body_tokens, cfg):
 
 def init_params(config: ModelConfig, rng):
     """The model's parameters {path: Tensor} in `config.dtype`, drawn from
-    `rng`. With rng None nothing is drawn and every weight is a zero
-    placeholder: the architecture's names and shapes, for a loader.
+    `rng`. With rng None nothing is drawn or allocated: each parameter is a
+    `volo.placeholder` array, the architecture's names and shapes for a
+    loader.
     """
     params = {}
     init_patch_embed(params, "face_embed", rng, config)
     init_patch_embed(params, "body_embed", rng, config)
     init_enhancer(params, rng, config)
     init_trunk(params, rng, config)
+    if rng is None:
+        return params
     # drawn in float64, so a seed gives the same weights in both dtypes
     # up to rounding
     dtype = np.dtype(config.dtype)

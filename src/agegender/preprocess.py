@@ -5,6 +5,8 @@ Images are float [H, W, 3] in [0, 1] throughout, and the normalized crop
 the model takes stays channels-last, [S, S, 3]. Filled/padded regions use
 the per-channel dataset mean, which normalization maps to exactly zero:
 the same zero-as-absent convention the model uses for missing inputs.
+`pair` trims its bodies from one `FillTable` per image: no crop is copied
+or filled on that path.
 """
 
 from __future__ import annotations
@@ -25,46 +27,62 @@ MIN_CROP_SIDE = 16
 MIN_AREA_FRACTION = 0.3
 
 
+def _clip(box: BBox, x0, y0, w, h):
+    """`box` clipped to the w x h window at (x0, y0), as (x0, y0, x1, y1)
+    relative to the window, or None when no pixel is left. Python ints
+    throughout: a manifest coordinate may be any integer, and int64 would
+    overflow on one beyond its range or wrap in the offset subtraction."""
+    bx0, by0 = min(max(box.x0 - x0, 0), w), min(max(box.y0 - y0, 0), h)
+    bx1, by1 = min(max(box.x1 - x0, 0), w), min(max(box.y1 - y0, 0), h)
+    return (bx0, by0, bx1, by1) if bx1 > bx0 and by1 > by0 else None
+
+
+def _coverage(boxes, x0, y0, w, h):
+    """[h, w] int32: how many of `boxes` cover each pixel of the w x h
+    window at (x0, y0), each box clipped to it and added in place."""
+    count = np.zeros((h, w), dtype=np.int32)
+    for box in boxes:
+        rect = _clip(box, x0, y0, w, h)
+        if rect is not None:
+            bx0, by0, bx1, by1 = rect
+            count[by0:by1, bx0:bx1] += 1
+    return count
+
+
 def detach_objects(body: BBox, crop, others):
     """Fill every crop pixel covered by any other detection's box with the
     dataset mean.
 
     `crop` (a copy or a view of the image) was extracted at `body`;
     `others` are the detections to erase (any intersection counts,
-    regardless of size). Returns a new image; `crop` is not written.
-    The boxes are clipped to the crop as one [n, 4] array and each one
-    that keeps an area is filled. The array holds Python ints (dtype
-    object): a manifest coordinate may be any integer, and int64 would
-    overflow on one beyond its range or wrap in the offset subtraction.
+    regardless of size). Returns a new image; `crop` is not written. The
+    fill goes through the coverage count `pair` trims from (`FillTable`),
+    so each pixel is written once however many boxes cover it. `pair`
+    itself never calls this: it reads the count and fills nothing.
     """
     out = crop.copy()
     h, w = out.shape[:2]
-    boxes = np.array([d.bbox.as_list() for d in others], dtype=object).reshape(-1, 4)
-    boxes = np.clip(boxes - [body.x0, body.y0, body.x0, body.y0], 0, [w, h, w, h])
-    for x0, y0, x1, y1 in boxes[(boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])].tolist():
-        out[y0:y1, x0:x1] = CHANNEL_MEAN
+    out[_coverage([d.bbox for d in others], body.x0, body.y0, w, h) > 0] = CHANNEL_MEAN
     return out
 
 
 def filled_mask(crop):
-    eq = crop == CHANNEL_MEAN
-    return eq[..., 0] & eq[..., 1] & eq[..., 2]
+    """[h, w] bool: the pixels equal to CHANNEL_MEAN in all three
+    channels, compared in float64. Channel 0 is compared everywhere and
+    channels 1 and 2 only where it matched, so a crop with few mean pixels
+    costs about one channel's compare."""
+    mask = crop[..., 0] == CHANNEL_MEAN[0]
+    if mask.any():
+        ys, xs = np.nonzero(mask)
+        rest = crop[ys, xs, 1:] == CHANNEL_MEAN[1:]
+        mask[ys, xs] = rest[:, 0] & rest[:, 1]
+    return mask
 
 
-def trim(crop, threshold=TRIM_THRESHOLD):
-    """Strip border rows/columns that are mostly mean-filled.
-
-    Repeatedly removes any outermost row/column whose filled-pixel
-    fraction is >= threshold, until none qualifies (which makes the
-    operation idempotent). Returns (trimmed, (off_x, off_y)), where
-    `trimmed` is a view of `crop`, not a copy; a fully trimmed crop
-    returns (None, None).
-
-    Cost: one O(h*w) pass for the mask and its row and column prefix
-    sums, then O(1) per border test. Each fraction is count / length in
-    float64, the value `mask[...].mean()` gives, so the same lines go.
-    """
-    mask = filled_mask(crop)
+def _peel(mask, threshold):
+    """The (x0, y0, x1, y1) box left of `mask` once every outermost row or
+    column whose filled fraction is >= threshold has been peeled, or None
+    when nothing is left. See `trim`."""
     y0, x0 = 0, 0
     y1, x1 = mask.shape
     # row_sum[y, x]: filled pixels of row y in [0, x); col_sum[y, x]: of column x in [0, y)
@@ -88,7 +106,28 @@ def trim(crop, threshold=TRIM_THRESHOLD):
             x1 -= 1
             changed = True
     if y1 <= y0 or x1 <= x0:
+        return None
+    return x0, y0, x1, y1
+
+
+def trim(crop, threshold=TRIM_THRESHOLD):
+    """Strip border rows/columns that are mostly mean-filled.
+
+    Repeatedly removes any outermost row/column whose filled-pixel
+    fraction is >= threshold, until none qualifies (which makes the
+    operation idempotent). Returns (trimmed, (off_x, off_y)), where
+    `trimmed` is a view of `crop`, not a copy; a fully trimmed crop
+    returns (None, None).
+
+    This is `filled_mask` and the peel `pair` runs on its per-body masks.
+    Cost: one O(h*w) pass for the mask and its row and column prefix
+    sums, then O(1) per border test. Each fraction is count / length in
+    float64, the value `mask[...].mean()` gives, so the same lines go.
+    """
+    kept = _peel(filled_mask(crop), threshold)
+    if kept is None:
         return None, None
+    x0, y0, x1, y1 = kept
     return crop[y0:y1, x0:x1], (x0, y0)
 
 
@@ -185,6 +224,56 @@ def prepare_crop(image, bbox: BBox, target):
     return normalize_channels(letterbox(image[b.y0:b.y1, b.x0:b.x1], target))
 
 
+class FillTable:
+    """What trimming a body needs of one image, over a window of it: the
+    pixels equal to CHANNEL_MEAN (`filled_mask`) and the int32 count of
+    `detections` boxes covering each pixel.
+
+    `pair` builds one table over the whole image and cuts every body's
+    trim mask out of it; `build_pair_record` builds one over its body box
+    alone. A body's mask is "covered by a box that is not its own, or a
+    mean pixel": on a float64 image, exactly what `trim` finds on the crop
+    `detach_objects` fills, with no crop copied or filled. (On a float32
+    image a fill holds float32(CHANNEL_MEAN), which `filled_mask` does not
+    match; the table counts the erased boxes in every dtype.)
+    """
+
+    def __init__(self, image, detections, window: BBox):
+        self.height, self.width = image.shape[:2]
+        self.detections = detections
+        self.window = window
+        self.mean = filled_mask(image[window.y0:window.y1, window.x0:window.x1])
+        self.count = _coverage([d.bbox for d in detections], window.x0, window.y0, window.width, window.height)
+
+    def pair_record(self, face_bbox, body_bbox, self_indices):
+        """`build_pair_record` for a unit of this table's detections, whose
+        clamped body box lies inside the window."""
+        record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
+        if face_bbox is not None:
+            record["face_bbox"] = face_bbox.clamped(self.width, self.height).as_list()
+            record["face_offset"] = [0, 0]
+        if body_bbox is None:
+            return record
+        bb = body_bbox.clamped(self.width, self.height)
+        ox, oy = bb.x0 - self.window.x0, bb.y0 - self.window.y0
+        rows, cols = slice(oy, oy + bb.height), slice(ox, ox + bb.width)
+        covered = self.count[rows, cols].copy()  # minus the unit's own boxes: "every other detection"
+        for i, d in enumerate(self.detections):
+            if i in self_indices:
+                rect = _clip(d.bbox, bb.x0, bb.y0, bb.width, bb.height)
+                if rect is not None:
+                    covered[rect[1]:rect[3], rect[0]:rect[2]] -= 1
+        mask = covered > 0
+        mask |= self.mean[rows, cols]
+        kept = _peel(mask, TRIM_THRESHOLD)
+        if kept is not None:
+            x0, y0, x1, y1 = kept
+            if discard_if_small(mask[y0:y1, x0:x1], bb):
+                record["body_bbox"] = [bb.x0 + x0, bb.y0 + y0, bb.x0 + x1, bb.y0 + y1]
+                record["body_offset"] = [x0, y0]
+        return record
+
+
 def build_pair_record(image, face_bbox, body_bbox, detections, self_indices):
     """The `pairs.jsonl` fields for one matched pair (or single).
 
@@ -194,22 +283,11 @@ def build_pair_record(image, face_bbox, body_bbox, detections, self_indices):
     Returns {face_bbox, body_bbox, face_offset, body_offset} in that key
     order: post-trim boxes in source-image coordinates plus retained
     offsets, or None for a side that is absent or got discarded.
+
+    The fill table is built over the body box only, so one record costs
+    one crop's mask and count; `pair` builds one table per image instead.
     """
     h, w = image.shape[:2]
-    record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
-
-    if face_bbox is not None:
-        record["face_bbox"] = face_bbox.clamped(w, h).as_list()
-        record["face_offset"] = [0, 0]
-
-    if body_bbox is not None:
-        bb = body_bbox.clamped(w, h)
-        others = [d for i, d in enumerate(detections) if i not in self_indices]
-        trimmed, offset = trim(detach_objects(bb, image[bb.y0:bb.y1, bb.x0:bb.x1], others))
-        if trimmed is not None and discard_if_small(trimmed, bb):
-            ox, oy = offset
-            th, tw = trimmed.shape[:2]
-            record["body_bbox"] = [bb.x0 + ox, bb.y0 + oy, bb.x0 + ox + tw, bb.y0 + oy + th]
-            record["body_offset"] = [ox, oy]
-
-    return record
+    # a face-only unit trims nothing: the smallest table will do
+    window = body_bbox.clamped(w, h) if body_bbox is not None else BBox(0, 0, 1, 1)
+    return FillTable(image, detections, window).pair_record(face_bbox, body_bbox, self_indices)

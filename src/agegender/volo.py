@@ -68,15 +68,28 @@ def trunc_normal(rng, shape, std=0.02):
     return out
 
 
+def placeholder(shape):
+    """A read-only zero of `shape` that allocates nothing (every stride 0):
+    what the init functions give for a parameter when rng is None."""
+    return np.broadcast_to(np.float64(0.0), shape)
+
+
 def init_linear(params, name, rng, fan_in, fan_out):
-    """Truncated-normal weight and zero bias; with rng None the weight is
-    a zero placeholder and nothing is drawn."""
+    """Truncated-normal weight and zero bias; with rng None both are
+    placeholders and nothing is drawn."""
     shape = (fan_in, fan_out)
-    params[name + ".weight"] = T.parameter(np.zeros(shape) if rng is None else trunc_normal(rng, shape))
+    if rng is None:
+        params[name + ".weight"], params[name + ".bias"] = placeholder(shape), placeholder((fan_out,))
+        return
+    params[name + ".weight"] = T.parameter(trunc_normal(rng, shape))
     params[name + ".bias"] = T.parameter(np.zeros(fan_out))
 
 
-def init_norm(params, name, width):
+def init_norm(params, name, rng, width):
+    """Unit gain and zero shift; with rng None both are placeholders."""
+    if rng is None:
+        params[name + ".gamma"], params[name + ".beta"] = placeholder((width,)), placeholder((width,))
+        return
     params[name + ".gamma"] = T.parameter(np.ones(width))
     params[name + ".beta"] = T.parameter(np.zeros(width))
 
@@ -132,11 +145,11 @@ def zero_input_tokens(params, prefix, cfg, batch):
 def init_outlooker(params, prefix, rng, cfg):
     c = cfg.stage1_width
     k = cfg.outlook_window
-    init_norm(params, prefix + ".norm1", c)
+    init_norm(params, prefix + ".norm1", rng, c)
     init_linear(params, prefix + ".attn", rng, c, cfg.outlook_heads * k**4)
     init_linear(params, prefix + ".v", rng, c, c)
     init_linear(params, prefix + ".proj", rng, c, c)
-    init_norm(params, prefix + ".norm2", c)
+    init_norm(params, prefix + ".norm2", rng, c)
     _init_mlp(params, prefix + ".mlp", rng, c, cfg.mlp_ratio)
 
 
@@ -181,10 +194,10 @@ def downsample_forward(params, prefix, x):
 
 def init_transformer(params, prefix, rng, cfg):
     d = cfg.stage2_width
-    init_norm(params, prefix + ".norm1", d)
+    init_norm(params, prefix + ".norm1", rng, d)
     init_linear(params, prefix + ".qkv", rng, d, 3 * d)
     init_linear(params, prefix + ".proj", rng, d, d)
-    init_norm(params, prefix + ".norm2", d)
+    init_norm(params, prefix + ".norm2", rng, d)
     _init_mlp(params, prefix + ".mlp", rng, d, cfg.mlp_ratio)
 
 
@@ -235,7 +248,7 @@ def init_trunk(params, rng, cfg):
     init_downsample(params, "trunk.downsample", rng, cfg)
     for i in range(cfg.transformer_blocks):
         init_transformer(params, f"trunk.transformer{i}", rng, cfg)
-    init_norm(params, "trunk.norm", cfg.stage2_width)
+    init_norm(params, "trunk.norm", rng, cfg.stage2_width)
     init_head(params, "head", rng, cfg)
 
 

@@ -26,7 +26,7 @@ from agegender import tensor as T
 from agegender.augment import jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
 from agegender.fusion import CropPair
-from agegender.pairing import overlap_cost
+from agegender.pairing import assign, overlap_cost
 from agegender.preprocess import CHANNEL_MEAN, CHANNEL_STD, discard_if_small, trim
 from agegender.votes import GENDERS, MAE_FLOOR, baseline_aggregate
 
@@ -446,6 +446,31 @@ def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indic
             record["body_crop"] = trimmed
 
     return record
+
+
+def pair_rows_oracle(image_name, image, detections):
+    """The rows `pair` writes for one image: its units in `pair`'s order
+    (matched pairs, unmatched faces, unmatched persons), each built in
+    full by `build_pair_record_oracle`, keeping those with a side left."""
+    keys = ["face_bbox", "body_bbox", "face_offset", "body_offset"]
+    face_idx = [i for i, d in enumerate(detections) if d.kind == "face"]
+    person_idx = [i for i, d in enumerate(detections) if d.kind == "person"]
+    result = assign([detections[i].bbox for i in face_idx], [detections[j].bbox for j in person_idx])
+    units = [(face_idx[i], person_idx[j]) for i, j in result.pairs]
+    units += [(face_idx[i], None) for i in result.unmatched_faces]
+    units += [(None, person_idx[j]) for j in result.unmatched_persons]
+    rows = []
+    for fi, pi in units:
+        record = build_pair_record_oracle(
+            image,
+            detections[fi].bbox if fi is not None else None,
+            detections[pi].bbox if pi is not None else None,
+            detections,
+            {i for i in (fi, pi) if i is not None},
+        )
+        if record["face_bbox"] is not None or record["body_bbox"] is not None:
+            rows.append({"image": image_name, **{k: record[k] for k in keys}})
+    return rows
 
 
 def augment_oracle(record, image, rng, config):

@@ -381,6 +381,46 @@ def test_checkpoint_detects_tampering(tmp_path):
         load_checkpoint(path)
 
 
+LOAD_WIDENED = """
+import json, resource, sys
+from agegender.checkpoint import load_checkpoint
+from agegender.config import ModelConfig
+from agegender.errors import InputError
+
+path = sys.argv[1]
+line, payload = open(path, "rb").read().split(b"\\n", 1)
+header = json.loads(line)
+header["config"]["stage1_width"] = 1024
+header["config_hash"] = ModelConfig.from_dict(header["config"]).config_hash()
+open(path, "wb").write(json.dumps(header).encode() + b"\\n" + payload)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    load_checkpoint(path)
+except InputError as exc:
+    print(exc)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_checkpoint_naming_a_huge_architecture_is_refused_without_allocating_it(tmp_path):
+    # a micro file re-hashed to stage1_width 1024: its placeholders would
+    # take about 580 MB; the layout's shapes must cost nothing
+    import os
+    import subprocess
+    import sys
+
+    path = tmp_path / "m.ckpt"
+    save_model(path, FaceBodyModel(micro_config()))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", LOAD_WIDENED, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    message, grown_kb = done.stdout.splitlines()
+    assert message.startswith(f"{path}: params table has ")
+    assert int(grown_kb) < 50 * 1024
+
+
 def test_init_from_single_input(tmp_path):
     source = FaceBodyModel(micro_config(seed=11))
     src_path = tmp_path / "face.ckpt"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,15 @@ from oracles import (
     crop_image,
     letterbox_oracle,
     normalize_channels_oracle,
+    pair_rows_oracle,
     prepare_crop_oracle,
     trim_oracle,
 )
 
+from agegender import cli
 from agegender.augment import augment
 from agegender.config import tiny_config
-from agegender.data import SampleRecord, load_image
+from agegender.data import SampleRecord, load_image, write_detection_manifest
 from agegender.errors import InputError
 from agegender.pairing import BBox, Detection, assign
 from agegender.preprocess import (
@@ -493,3 +497,78 @@ def test_pair_record_is_the_oracle_boxes_on_crowded_scenes():
             elif record["body_bbox"] != dets[pi].bbox.clamped(w, h).as_list():
                 kinds["trimmed"] += 1
     assert min(kinds.values()) > 0, kinds
+
+
+def _pair_command_rows(tmp_path, image, dets):
+    """`agegender pair` on one .npy scene (float64 kept exact)."""
+    np.save(tmp_path / "scene.npy", image)
+    write_detection_manifest(tmp_path / "detections.jsonl", [{"image": "scene.npy", "detections": dets}])
+    out = tmp_path / "pairs.jsonl"
+    assert cli.main(["pair", "--detections", str(tmp_path / "detections.jsonl"), "--out", str(out)]) == 0
+    return [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def test_pair_command_is_the_oracle_records_on_crowded_scenes(tmp_path):
+    # one fill table per image, cut per body, against every unit's crop
+    # copied, filled and trimmed on its own
+    for seed in range(6):
+        image, dets = _crowded_scene(np.random.default_rng([seed, 2]))
+        assert _pair_command_rows(tmp_path, image, dets) == pair_rows_oracle("scene.npy", image, dets)
+
+
+def _edge_scene():
+    """A scene whose bodies meet each edge case of the fill table: boxes
+    partly outside the image, a face duplicating a unit's own face,
+    boxes that clip to nothing, a row filled exactly to the threshold, and
+    pixels equal to CHANNEL_MEAN in all three channels or only some."""
+    image = np.random.default_rng(12).uniform(0.2, 0.8, (100, 120, 3))
+    image[10:50, 40] = CHANNEL_MEAN  # B's left column: trimmed
+    image[10:50, 59, :2] = CHANNEL_MEAN[:2]  # B's right column, two channels: kept
+    image[49, 40:60, 0] = CHANNEL_MEAN[0]  # B's bottom row, one channel: kept
+    image[20:30:3, 15:25:2] = CHANNEL_MEAN  # inside A: no border
+    boxes = [
+        ("person", (10, 5, 30, 45)),  # A
+        ("face", (10, 5, 30, 10)),  # A's face, the full width of A's top rows
+        ("face", (10, 5, 30, 10)),  # the same box again: A erases it
+        ("face", (-10, -5, 12, 8)),  # partly outside, over A's corner
+        ("person", (40, 10, 60, 50)),  # B
+        ("face", (45, 12, 55, 22)),
+        ("person", (60, 10, 80, 50)),  # F: touches B and G, each clips the other to nothing
+        ("person", (100, 60, 140, 130)),  # C, partly outside
+        ("face", (105, 62, 115, 72)),
+        ("person", (70, 50, 90, 90)),  # G
+        ("person", (70, 50, 89, 51)),  # 19 of G's 20 top pixels: exactly 0.95
+    ]
+    return image, [Detection(BBox(*box), kind) for kind, box in boxes]
+
+
+def test_pair_command_is_the_oracle_records_on_edge_cases(tmp_path):
+    image, dets = _edge_scene()
+    rows = _pair_command_rows(tmp_path, image, dets)
+    assert rows == pair_rows_oracle("scene.npy", image, dets)
+    bodies = {tuple(row["body_bbox"]) for row in rows if row["body_bbox"] is not None}
+    assert {(10, 10, 30, 45), (41, 10, 60, 50), (60, 10, 80, 50), (100, 60, 120, 100), (70, 51, 90, 90)} <= bodies
+
+
+def test_pair_record_is_the_oracle_with_boxes_outside_the_image():
+    # `build_pair_record` also takes boxes that clip to nothing in the image
+    image, dets = _edge_scene()
+    dets += [Detection(BBox(200, 200, 210, 210), "person"), Detection(BBox(-50, -50, -40, -40), "face")]
+    for k, body in enumerate(dets):
+        for own in ({k}, {k, 1}, {k, 2}, set()):
+            args = (image, None, body.bbox, dets, own)
+            assert build_pair_record(*args) == {key: value for key, value in build_pair_record_oracle(*args).items()
+                                                if not key.endswith("_crop")}
+
+
+def test_pair_record_erases_occluders_on_float32_images():
+    # the erased boxes count whatever the image dtype; a float32 fill value
+    # never equals the float64 mean, so trimming a filled float32 crop saw none
+    image, dets = _crowded_scene(np.random.default_rng([0, 2]))
+    trimmed = 0
+    for k, det in enumerate(dets):
+        if det.kind == "person":
+            want = build_pair_record(image, None, det.bbox, dets, {k})
+            assert build_pair_record(image.astype(np.float32), None, det.bbox, dets, {k}) == want
+            trimmed += want["body_offset"] not in (None, [0, 0])
+    assert trimmed > 0
