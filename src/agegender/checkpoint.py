@@ -76,14 +76,21 @@ def load_checkpoint(path):
         raise InputError(f"{path}: bad checkpoint config: {exc!r}") from exc
     if config.config_hash() != header.get("config_hash"):
         raise InputError(f"{path}: config hash mismatch (corrupt or edited header)")
+    table, frozen = header.get("params"), header.get("frozen")
+    if not isinstance(table, list):
+        raise InputError(f"{path}: missing or malformed params table")
+    # every block has parameters: more blocks than entries cannot match,
+    # and refusing them bounds the layout below by the header's size
+    blocks = config.outlooker_blocks + config.transformer_blocks
+    if blocks > len(table):
+        raise InputError(
+            f"{path}: params table has {len(table)} entries, fewer than the architecture's {blocks} blocks"
+        )
     # the architecture's layout, from placeholders: nothing is drawn or allocated
     shapes = {name: p.shape for name, p in init_params(config, rng=None).items()}
     names = sorted(shapes)
-    table, frozen = header.get("params"), header.get("frozen")
     layout = [[name, list(shapes[name])] for name in names]
     if table != layout:
-        if not isinstance(table, list):
-            raise InputError(f"{path}: missing or malformed params table")
         got, want = next((a, b) for a, b in zip_longest(table, layout) if a != b)
         raise InputError(f"{path}: params table has {got!r} where the architecture has {want!r}")
     # list membership: an unhashable JSON entry is simply not a name

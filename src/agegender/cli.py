@@ -23,7 +23,7 @@ from .errors import ConfigError, DimensionError, InputError, NumericalError, Tap
 from .gradcheck import model_gradcheck
 from .metrics import format_report
 from .pairing import BBox, assign
-from .preprocess import FillTable
+from .preprocess import FillTable, unit_record
 from .train import evaluate, train
 from .votes import BASELINE_METHODS, aggregate_tasks, collect_vote_records, score_users
 
@@ -83,12 +83,22 @@ def cmd_pair(args):
         units.extend((face_idx[i], None) for i in result.unmatched_faces)
         units.extend((None, person_idx[j]) for j in result.unmatched_persons)
 
-        table = FillTable(image, dets, BBox(0, 0, width, height))  # one per image, cut per body
+        # one fill table per image, over the extent of its bodies, cut per
+        # body; an image without a body builds none
+        bodies = [dets[pi].bbox.clamped(width, height) for _, pi in units if pi is not None]
+        table = None
+        if bodies:
+            extent = BBox(min(b.x0 for b in bodies), min(b.y0 for b in bodies),
+                          max(b.x1 for b in bodies), max(b.y1 for b in bodies))
+            table = FillTable(image, dets, extent)
         for fi, pi in units:
-            record = table.pair_record(
+            record = unit_record(
+                width,
+                height,
                 dets[fi].bbox if fi is not None else None,
                 dets[pi].bbox if pi is not None else None,
                 {i for i in (fi, pi) if i is not None},
+                table,
             )
             if record["face_bbox"] is not None or record["body_bbox"] is not None:
                 rows.append({"image": image_path, **record})

@@ -143,7 +143,9 @@ def _finite(value, what, path, line):
     """`value` as a finite float, or InputError naming `path:line`. Only a
     JSON number counts: an int or a float, not a bool or a string."""
     number = math.nan
-    if type(value) in (int, float):
+    if type(value) is float:  # exact types: a bool is an int subclass; most rows are floats
+        number = value
+    elif type(value) is int:
         try:
             number = float(value)
         except OverflowError:  # an int beyond the float range

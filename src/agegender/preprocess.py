@@ -229,49 +229,56 @@ class FillTable:
     pixels equal to CHANNEL_MEAN (`filled_mask`) and the int32 count of
     `detections` boxes covering each pixel.
 
-    `pair` builds one table over the whole image and cuts every body's
-    trim mask out of it; `build_pair_record` builds one over its body box
-    alone. A body's mask is "covered by a box that is not its own, or a
-    mean pixel": on a float64 image, exactly what `trim` finds on the crop
-    `detach_objects` fills, with no crop copied or filled. (On a float32
-    image a fill holds float32(CHANNEL_MEAN), which `filled_mask` does not
-    match; the table counts the erased boxes in every dtype.)
+    `pair` builds one table per image, over the extent of its bodies, and
+    cuts every body's trim mask out of it; `build_pair_record` builds one
+    over its body box alone. A body's mask is "covered by a box that is
+    not its own, or a mean pixel": on a float64 image, exactly what `trim`
+    finds on the crop `detach_objects` fills, with no crop copied or
+    filled. The mean is compared in float64, as `filled_mask` does, and the
+    erased boxes count in every image dtype (a float32 crop filled by
+    `detach_objects` holds float32(CHANNEL_MEAN), which `trim` would miss).
     """
 
     def __init__(self, image, detections, window: BBox):
-        self.height, self.width = image.shape[:2]
         self.detections = detections
         self.window = window
         self.mean = filled_mask(image[window.y0:window.y1, window.x0:window.x1])
         self.count = _coverage([d.bbox for d in detections], window.x0, window.y0, window.width, window.height)
 
-    def pair_record(self, face_bbox, body_bbox, self_indices):
-        """`build_pair_record` for a unit of this table's detections, whose
-        clamped body box lies inside the window."""
-        record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
-        if face_bbox is not None:
-            record["face_bbox"] = face_bbox.clamped(self.width, self.height).as_list()
-            record["face_offset"] = [0, 0]
-        if body_bbox is None:
-            return record
-        bb = body_bbox.clamped(self.width, self.height)
+    def trim_body(self, bb: BBox, self_indices):
+        """(body_bbox, body_offset) of the body at `bb`, a clamped box
+        inside the window, once every detection but `self_indices` (indices
+        into `detections`) is erased, the borders trimmed and the rest
+        size-filtered; (None, None) when it is discarded."""
         ox, oy = bb.x0 - self.window.x0, bb.y0 - self.window.y0
         rows, cols = slice(oy, oy + bb.height), slice(ox, ox + bb.width)
         covered = self.count[rows, cols].copy()  # minus the unit's own boxes: "every other detection"
-        for i, d in enumerate(self.detections):
-            if i in self_indices:
-                rect = _clip(d.bbox, bb.x0, bb.y0, bb.width, bb.height)
-                if rect is not None:
-                    covered[rect[1]:rect[3], rect[0]:rect[2]] -= 1
+        for i in self_indices:
+            rect = _clip(self.detections[i].bbox, bb.x0, bb.y0, bb.width, bb.height)
+            if rect is not None:
+                covered[rect[1]:rect[3], rect[0]:rect[2]] -= 1
         mask = covered > 0
         mask |= self.mean[rows, cols]
         kept = _peel(mask, TRIM_THRESHOLD)
-        if kept is not None:
-            x0, y0, x1, y1 = kept
-            if discard_if_small(mask[y0:y1, x0:x1], bb):
-                record["body_bbox"] = [bb.x0 + x0, bb.y0 + y0, bb.x0 + x1, bb.y0 + y1]
-                record["body_offset"] = [x0, y0]
-        return record
+        if kept is None:
+            return None, None
+        x0, y0, x1, y1 = kept
+        if not discard_if_small(mask[y0:y1, x0:x1], bb):
+            return None, None
+        return [bb.x0 + x0, bb.y0 + y0, bb.x0 + x1, bb.y0 + y1], [x0, y0]
+
+
+def unit_record(width, height, face_bbox, body_bbox, self_indices, table):
+    """`build_pair_record` for one unit of a `width` x `height` image, its
+    body trimmed from `table`, a `FillTable` whose window holds the clamped
+    body box (None when there is no body: a face is only located)."""
+    record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
+    if face_bbox is not None:
+        record["face_bbox"] = face_bbox.clamped(width, height).as_list()
+        record["face_offset"] = [0, 0]
+    if body_bbox is not None:
+        record["body_bbox"], record["body_offset"] = table.trim_body(body_bbox.clamped(width, height), self_indices)
+    return record
 
 
 def build_pair_record(image, face_bbox, body_bbox, detections, self_indices):
@@ -285,9 +292,9 @@ def build_pair_record(image, face_bbox, body_bbox, detections, self_indices):
     offsets, or None for a side that is absent or got discarded.
 
     The fill table is built over the body box only, so one record costs
-    one crop's mask and count; `pair` builds one table per image instead.
+    one crop's mask and count, and a face-only unit builds none; `pair`
+    builds one table per image instead.
     """
     h, w = image.shape[:2]
-    # a face-only unit trims nothing: the smallest table will do
-    window = body_bbox.clamped(w, h) if body_bbox is not None else BBox(0, 0, 1, 1)
-    return FillTable(image, detections, window).pair_record(face_bbox, body_bbox, self_indices)
+    table = FillTable(image, detections, body_bbox.clamped(w, h)) if body_bbox is not None else None
+    return unit_record(w, h, face_bbox, body_bbox, self_indices, table)

@@ -418,7 +418,9 @@ def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indic
     """Pair preprocessing that builds both sides in full, as `pair` once
     did: the face and body crops are clamped twice, copied and
     occluder-filled, the body trimmed and size-filtered, and the crops are
-    stored beside the boxes and offsets."""
+    stored beside the boxes and offsets. The body is filled and trimmed in
+    float64, where the fill is exactly CHANNEL_MEAN, so the erased boxes
+    count whatever the image dtype."""
     h, w = image.shape[:2]
     others = [d for i, d in enumerate(detections) if i not in self_indices]
     record = {"face_bbox": None, "body_bbox": None, "face_offset": None, "body_offset": None}
@@ -434,7 +436,7 @@ def build_pair_record_oracle(image, face_bbox, body_bbox, detections, self_indic
     if body_bbox is not None:
         bb = body_bbox.clamped(w, h)
         body_crop, bb = crop_image(image, bb)
-        body_crop = detach_objects_oracle(bb, body_crop, others)
+        body_crop = detach_objects_oracle(bb, body_crop.astype(np.float64), others)
         trimmed, offset = trim(body_crop)
         if trimmed is None or not discard_if_small(trimmed, bb):
             record["body_bbox"] = None

@@ -387,10 +387,10 @@ from agegender.checkpoint import load_checkpoint
 from agegender.config import ModelConfig
 from agegender.errors import InputError
 
-path = sys.argv[1]
+path, key, value = sys.argv[1], sys.argv[2], int(sys.argv[3])
 line, payload = open(path, "rb").read().split(b"\\n", 1)
 header = json.loads(line)
-header["config"]["stage1_width"] = 1024
+header["config"][key] = value
 header["config_hash"] = ModelConfig.from_dict(header["config"]).config_hash()
 open(path, "wb").write(json.dumps(header).encode() + b"\\n" + payload)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -402,9 +402,14 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
 
 
-def test_checkpoint_naming_a_huge_architecture_is_refused_without_allocating_it(tmp_path):
-    # a micro file re-hashed to stage1_width 1024: its placeholders would
-    # take about 580 MB; the layout's shapes must cost nothing
+@pytest.mark.parametrize("key, value, refusal", [
+    # placeholders of this width would take about 580 MB: the layout's shapes must cost nothing
+    ("stage1_width", 1024, "params table has ['body_embed"),
+    # a layout of this many blocks took 14 s and 711 MB to build: more blocks than entries cannot match
+    ("transformer_blocks", 100000, "params table has 68 entries, fewer than the architecture's 100001 blocks"),
+], ids=["width", "blocks"])
+def test_checkpoint_naming_a_huge_architecture_is_refused_without_allocating_it(tmp_path, key, value, refusal):
+    # a micro file whose config names a huge architecture, re-hashed
     import os
     import subprocess
     import sys
@@ -413,11 +418,11 @@ def test_checkpoint_naming_a_huge_architecture_is_refused_without_allocating_it(
     save_model(path, FaceBodyModel(micro_config()))
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", LOAD_WIDENED, str(path)], env=env,
+    done = subprocess.run([sys.executable, "-c", LOAD_WIDENED, str(path), key, str(value)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     message, grown_kb = done.stdout.splitlines()
-    assert message.startswith(f"{path}: params table has ")
+    assert message.startswith(f"{path}: {refusal}"), message
     assert int(grown_kb) < 50 * 1024
 
 

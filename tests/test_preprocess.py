@@ -550,6 +550,20 @@ def test_pair_command_is_the_oracle_records_on_edge_cases(tmp_path):
     assert {(10, 10, 30, 45), (41, 10, 60, 50), (60, 10, 80, 50), (100, 60, 120, 100), (70, 51, 90, 90)} <= bodies
 
 
+def test_pair_command_is_the_oracle_records_on_sparse_scenes(tmp_path):
+    # the table spans only the bodies' extent, here far from the origin,
+    # and an image with faces alone builds none
+    image = np.random.default_rng(13).uniform(0.2, 0.8, (120, 160, 3))
+    image[70:110, 131] = CHANNEL_MEAN  # the body's right column: trimmed, as are its bottom rows, erased
+    one_body = [Detection(BBox(110, 70, 132, 110), "person"), Detection(BBox(112, 70, 132, 74), "face"),
+                Detection(BBox(5, 5, 15, 15), "face"), Detection(BBox(100, 100, 140, 118), "face")]
+    faces_only = [Detection(BBox(5, 5, 15, 15), "face"), Detection(BBox(150, 110, 170, 130), "face")]
+    for dets in (one_body, faces_only):
+        assert _pair_command_rows(tmp_path, image, dets) == pair_rows_oracle("scene.npy", image, dets)
+    rows = _pair_command_rows(tmp_path, image, one_body)
+    assert [row["body_bbox"] for row in rows if row["body_bbox"] is not None] == [[110, 70, 131, 100]]
+
+
 def test_pair_record_is_the_oracle_with_boxes_outside_the_image():
     # `build_pair_record` also takes boxes that clip to nothing in the image
     image, dets = _edge_scene()
@@ -563,7 +577,8 @@ def test_pair_record_is_the_oracle_with_boxes_outside_the_image():
 
 def test_pair_record_erases_occluders_on_float32_images():
     # the erased boxes count whatever the image dtype; a float32 fill value
-    # never equals the float64 mean, so trimming a filled float32 crop saw none
+    # never equals the float64 mean, so trimming a filled float32 crop saw
+    # none. The oracle fills and trims in float64 and must agree.
     image, dets = _crowded_scene(np.random.default_rng([0, 2]))
     trimmed = 0
     for k, det in enumerate(dets):
@@ -572,3 +587,9 @@ def test_pair_record_erases_occluders_on_float32_images():
             assert build_pair_record(image.astype(np.float32), None, det.bbox, dets, {k}) == want
             trimmed += want["body_offset"] not in (None, [0, 0])
     assert trimmed > 0
+    for image, dets in (_crowded_scene(np.random.default_rng([1, 2])), _edge_scene()):
+        image32 = image.astype(np.float32)
+        for k, det in enumerate(dets):
+            args = (image32, None, det.bbox, dets, {k})
+            assert build_pair_record(*args) == {key: value for key, value in build_pair_record_oracle(*args).items()
+                                                if not key.endswith("_crop")}
