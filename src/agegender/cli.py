@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .config import ModelConfig, tiny_config
 from .data import (
@@ -107,13 +108,22 @@ def cmd_pair(args):
     return 0
 
 
+def _aggregated_line(row):
+    """`json.dumps` of an aggregated {task, age, gender} row plus a newline,
+    from the encoders `json.dumps` uses for a str task, a float or null age
+    and a str or null gender."""
+    age, gender = row["age"], row["gender"]
+    return (f'{{"task": {encode_basestring_ascii(row["task"])}, '
+            f'"age": {"null" if age is None else float.__repr__(age)}, '
+            f'"gender": {"null" if gender is None else encode_basestring_ascii(gender)}}}\n')
+
+
 def cmd_aggregate(args):
     records = collect_vote_records(read_votes_file(args.votes))
     stats = score_users(read_controls_file(args.controls)) if args.controls else []
     results = aggregate_tasks(records, stats, method=args.method)
     with open(args.out, "w") as fh:
-        for row in results:
-            fh.write(json.dumps({"task": row["task"], "age": row["age"], "gender": row["gender"]}) + "\n")
+        fh.writelines(map(_aggregated_line, results))
     if args.user_report:
         with open(args.user_report, "w") as fh:
             for s in sorted(stats, key=lambda s: s.user_id):

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -110,7 +112,8 @@ _DECODER = json.JSONDecoder()
 
 def _read_ndjson(path):
     """(line number, row) pairs for the non-blank lines of `path`, to be
-    iterated once.
+    iterated once: the reader of sample and detection manifests, and of a
+    votes or controls file that `_read_flat_ndjson` does not read.
 
     Each stripped line is decoded exactly as `json.loads` would decode it:
     one value and nothing after it, else InputError naming `path:line`.
@@ -137,6 +140,43 @@ def _read_ndjson(path):
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not a text file: {exc}") from exc
     return zip(line_nos, rows)
+
+
+def _read_flat_ndjson(path):
+    """The rows of `path`, as `_read_ndjson` gives them, from one
+    `json.loads` over its stripped non-blank lines joined as one array; or
+    None when that decode is not to be trusted.
+
+    It is trusted only when every line starts with `{` and ends with `}`,
+    the text holds exactly one `{` and one `}` per line, and the array
+    holds one object per line. Then no brace is left for a string or a
+    nested object, so each object spans exactly its own line and decodes as
+    that line alone does. A file that is not text, does not decode, or has
+    any other shape (a nested object, a brace inside a string, two objects
+    on a line, a row that is not an object) gives None, and the caller
+    reads it with `_read_ndjson`, which gives the rows or names the bad
+    `path:line`.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")  # universal newlines: the lines `_read_ndjson` iterates
+    except UnicodeDecodeError:
+        return None
+    lines = list(filter(None, map(str.strip, lines)))
+    n = len(lines)
+    text = "[" + ",\n".join(lines) + "]"
+    del lines  # the text alone is held through the decode
+    # a line holds no newline, so each "},\n{" is a line boundary
+    if not (text[1:2] == "{" and text[-2:-1] == "}" and text.count("},\n{") == n - 1
+            and text.count("{") == n == text.count("}")):
+        return None
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if len(rows) != n or set(map(type, rows)) != {dict}:
+        return None
+    return rows
 
 
 def _finite(value, what, path, line):
@@ -305,28 +345,81 @@ def write_pair_manifest(path, rows):
     _write_ndjson(path, rows)
 
 
+# vote ages and control answers outside this range of years are refused
+VOTE_AGES = (0.0, 150.0)
+
+
+def _vote_age(value, what, path, line):
+    """`value` as a float within VOTE_AGES years, or InputError naming
+    `path:line`."""
+    age = _finite(value, what, path, line)
+    if not VOTE_AGES[0] <= age <= VOTE_AGES[1]:
+        raise InputError(f"{path}:{line}: {what} must be within [0, 150] years, got {value!r}")
+    return age
+
+
+def _vote_ages(values, nullable=False):
+    """`values` as float64 (None as NaN, where `nullable`) if every one
+    passes `_vote_age`, else None: one type test per value, then array
+    comparisons."""
+    allowed = {float, int, type(None)} if nullable else {float, int}
+    if not set(map(type, values)) <= allowed:
+        return None
+    try:
+        ages = np.fromiter(values, np.float64, len(values))
+    except OverflowError:  # an int beyond the float range
+        return None
+    outside = np.flatnonzero(~((ages >= VOTE_AGES[0]) & (ages <= VOTE_AGES[1])))
+    if not all(values[i] is None for i in outside.tolist()):  # NaN or out of range
+        return None
+    return ages
+
+
+def _has_fields(rows, *fields):
+    return all(all(map(operator.contains, rows, repeat(field))) for field in fields)
+
+
 def read_votes_file(path):
-    """[{task, user, age, gender}, ...]; an age is a finite number or null
-    (no age vote), else InputError naming `path:line`."""
+    """[{task, user, age, gender}, ...]; a row without task or user, or
+    whose age is neither null (no age vote) nor a JSON number within
+    [0, 150] years, raises InputError naming `path:line`.
+
+    The rows of a flat file are checked as columns; any other file, and
+    any failed check, goes through the per-line reader, which names the
+    first bad line."""
+    rows = _read_flat_ndjson(path)
+    if (rows is not None and _has_fields(rows, "task", "user")
+            and _vote_ages(list(map(dict.get, rows, repeat("age"))), nullable=True) is not None):
+        return rows
     rows = []
     for i, row in _read_ndjson(path):
         if not isinstance(row, dict) or "task" not in row or "user" not in row:
             raise InputError(f"{path}:{i}: vote rows need task and user fields")
         if row.get("age") is not None:
-            _finite(row["age"], "age", path, i)
+            _vote_age(row["age"], "age", path, i)
         rows.append(row)
     return rows
 
 
 def read_controls_file(path):
-    """{user: [(voted, truth), ...]}; voted and truth are finite numbers,
-    else InputError naming `path:line`."""
+    """{user: [(voted, truth), ...]}; voted and truth are JSON numbers
+    within [0, 150] years, else InputError naming `path:line`. Checked as
+    `read_votes_file` checks its rows."""
+    rows = _read_flat_ndjson(path)
+    if rows is not None and _has_fields(rows, "user", "voted", "truth"):
+        voted, truth = (_vote_ages(list(map(operator.itemgetter(k), rows))) for k in ("voted", "truth"))
+        if voted is not None and truth is not None:
+            answers = {}
+            for user, answer in zip(map(str, map(operator.itemgetter("user"), rows)),
+                                    zip(voted.tolist(), truth.tolist())):
+                answers.setdefault(user, []).append(answer)
+            return answers
     answers = {}
     for i, row in _read_ndjson(path):
         if not isinstance(row, dict):
             raise InputError(f"{path}:{i}: control rows must be objects, got {row!r}")
         try:
-            answer = (_finite(row["voted"], "voted", path, i), _finite(row["truth"], "truth", path, i))
+            answer = (_vote_age(row["voted"], "voted", path, i), _vote_age(row["truth"], "truth", path, i))
             answers.setdefault(str(row["user"]), []).append(answer)
         except KeyError as exc:
             raise InputError(f"{path}:{i}: missing field {exc}") from exc

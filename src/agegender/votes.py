@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -220,26 +221,25 @@ def score_users(control_answers):
 
 
 def collect_vote_records(rows):
-    """One VoteTable of flat {task, user, age, gender} rows; InputError for
-    the first task that has no votes, two age or two gender votes from one
-    user, or an unknown gender vote (checked in that order)."""
+    """One VoteTable of a list of flat {task, user, age, gender} rows, read
+    field by field; InputError for the first task that has no votes, two
+    age or two gender votes from one user, or an unknown gender vote
+    (checked in that order)."""
+    n = len(rows)
     task_codes, user_codes = defaultdict(count().__next__), defaultdict(count().__next__)
-    tasks, users, ages, raw_genders = [], [], [], []
-    for row in rows:
-        tasks.append(task_codes[str(row["task"])])
-        users.append(user_codes[str(row["user"])])
-        age = row.get("age")
-        ages.append(math.nan if age is None else float(age))
-        raw_genders.append(row.get("gender"))
+    task = np.fromiter(map(task_codes.__getitem__, map(str, map(itemgetter("task"), rows))), np.intp, n)
+    user = np.fromiter(map(user_codes.__getitem__, map(str, map(itemgetter("user"), rows))), np.intp, n)
+    age = np.fromiter(map(dict.get, rows, repeat("age")), np.float64, n)  # a null age is NaN
+    raw_genders = list(map(dict.get, rows, repeat("gender")))
+    try:
+        gender = np.fromiter(map(_GENDER_CODES.get, raw_genders, repeat(2)), np.int8, n)
+    except TypeError:  # an unhashable JSON value (a list or an object) is an unknown gender too
+        gender = np.fromiter((_GENDER_CODES.get(g, 2) if g.__hash__ else 2 for g in raw_genders), np.int8, n)
 
-    task_ids, n_users, task = list(task_codes), len(user_codes), np.fromiter(tasks, np.intp, len(tasks))
+    task_ids, n_users = list(task_codes), len(user_codes)
     offsets = np.concatenate(([0], np.cumsum(np.bincount(task, minlength=len(task_ids)))))
     order = np.argsort(task, kind="stable")
-    # an unhashable JSON value (a list or an object) is an unknown gender too
-    codes = (_GENDER_CODES.get(g, 2) if g.__hash__ else 2 for g in raw_genders)
-    task, gender = task[order], np.fromiter(codes, np.int8, len(tasks))[order]
-    user = np.fromiter(users, np.intp, len(tasks))[order]
-    age = np.fromiter(ages, np.float64, len(tasks))[order]
+    task, user, age, gender = task[order], user[order], age[order], gender[order]
     has_age, has_gender = ~np.isnan(age), gender >= 0
     failing = [np.flatnonzero(np.bincount(task[has_age | has_gender], minlength=len(task_ids)) == 0)]
     for has in (has_age, has_gender):  # a user voting twice on a task repeats a key

@@ -14,6 +14,7 @@ must equal bit for bit.
 """
 
 import contextlib
+import json
 import math
 from collections import Counter
 from unittest import mock
@@ -338,13 +339,99 @@ def aggregate_tasks_oracle(buckets, user_stats, method="weighted_mean"):
     return results
 
 
+def read_ndjson_oracle(path):
+    """[(line number, row), ...] for the non-blank lines of `path`, decoded
+    one stripped line at a time: one JSON value and nothing after it, else
+    InputError naming `path:line`."""
+    decode = json.JSONDecoder().raw_decode
+    pairs = []
+    with open(path) as fh:
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row, end = decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                except (ValueError, RecursionError) as exc:
+                    raise InputError(f"{path}:{line_no}: bad record: {exc}") from exc
+                pairs.append((line_no, row))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not a text file: {exc}") from exc
+    return pairs
+
+
+def _vote_age_oracle(value, what, path, line):
+    """A JSON number (an int or a float, not a bool) that is finite and
+    within [0, 150] years, as a float."""
+    number = math.nan
+    if type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number):
+        raise InputError(f"{path}:{line}: {what} must be a finite number, got {value!r}")
+    if not 0.0 <= number <= 150.0:
+        raise InputError(f"{path}:{line}: {what} must be within [0, 150] years, got {value!r}")
+    return number
+
+
+def read_votes_file_oracle(path):
+    """Vote rows checked one line at a time: an object with task and user
+    and a null age or a vote age."""
+    rows = []
+    for i, row in read_ndjson_oracle(path):
+        if not isinstance(row, dict) or "task" not in row or "user" not in row:
+            raise InputError(f"{path}:{i}: vote rows need task and user fields")
+        if row.get("age") is not None:
+            _vote_age_oracle(row["age"], "age", path, i)
+        rows.append(row)
+    return rows
+
+
+def read_controls_file_oracle(path):
+    """{user: [(voted, truth), ...]} checked one line at a time."""
+    answers = {}
+    for i, row in read_ndjson_oracle(path):
+        if not isinstance(row, dict):
+            raise InputError(f"{path}:{i}: control rows must be objects, got {row!r}")
+        try:
+            answer = (_vote_age_oracle(row["voted"], "voted", path, i),
+                      _vote_age_oracle(row["truth"], "truth", path, i))
+            answers.setdefault(str(row["user"]), []).append(answer)
+        except KeyError as exc:
+            raise InputError(f"{path}:{i}: missing field {exc}") from exc
+    return answers
+
+
+def reader_outcome(reader, path):
+    """What `reader` gives for `path` as text (JSON, so NaN, -0.0 and int
+    against float compare), or the message it raises."""
+    try:
+        return json.dumps(reader(path))
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def aggregated_line_oracle(row):
+    return json.dumps({"task": row["task"], "age": row["age"], "gender": row["gender"]}) + "\n"
+
+
 @contextlib.contextmanager
 def vote_oracles_in_cli():
-    """`agegender aggregate` through the per-task oracle pipeline: the same
-    readers, `score_users` and writer, with `collect_vote_records_oracle`
-    and `aggregate_tasks_oracle` in place of the columnar pair."""
-    with mock.patch.object(cli, "collect_vote_records", collect_vote_records_oracle), \
-            mock.patch.object(cli, "aggregate_tasks", aggregate_tasks_oracle):
+    """`agegender aggregate` through the per-line and per-task oracle
+    pipeline: the same `score_users` and user-report writer, with the
+    oracle readers, `collect_vote_records_oracle`, `aggregate_tasks_oracle`
+    and one `json.dumps` per aggregated row in place of the joined readers,
+    the columnar pair and the row writer."""
+    with mock.patch.object(cli, "read_votes_file", read_votes_file_oracle), \
+            mock.patch.object(cli, "read_controls_file", read_controls_file_oracle), \
+            mock.patch.object(cli, "collect_vote_records", collect_vote_records_oracle), \
+            mock.patch.object(cli, "aggregate_tasks", aggregate_tasks_oracle), \
+            mock.patch.object(cli, "_aggregated_line", aggregated_line_oracle):
         yield
 
 

@@ -1,6 +1,10 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from agegender import data
 from agegender.data import (
     SYNTH_FACE_BBOX,
     SampleRecord,
@@ -18,6 +22,7 @@ from agegender.data import (
 )
 from agegender.errors import InputError
 from agegender.pairing import BBox, Detection
+from oracles import read_controls_file_oracle, read_votes_file_oracle, reader_outcome
 
 
 def test_ppm_roundtrip(tmp_path, ):
@@ -113,6 +118,85 @@ def test_votes_and_controls_files(tmp_path):
     )
     answers = read_controls_file(controls)
     assert answers == {"u1": [(30.0, 32.0), (40.0, 40.0)]}
+
+
+def outcomes_and_fallbacks(path):
+    """[(reader outcome, oracle outcome)] for the votes and controls
+    readers of `path`, and how often they fell back to the per-line
+    reader."""
+    fallback = mock.Mock(wraps=data._read_ndjson)
+    with mock.patch.object(data, "_read_ndjson", fallback):
+        pairs = [(reader_outcome(reader, path), reader_outcome(oracle, path))
+                 for reader, oracle in ((read_votes_file, read_votes_file_oracle),
+                                        (read_controls_file, read_controls_file_oracle))]
+    return pairs, fallback.call_count
+
+
+# a row both readers accept
+ROW = '{"task": "t1", "user": "u1", "age": 30.5, "voted": 30, "truth": 31}'
+
+
+def row_of(age):
+    """A row whose age, voted and truth are all `age` (JSON text)."""
+    return f'{{"task": "t1", "user": "u1", "age": {age}, "voted": {age}, "truth": {age}}}'
+
+
+# a valid line holding two objects, which restores the row count of a
+# file whose first two lines join into one object
+TWO_OBJECTS = '{"task": "t2", "user": "u2", "voted": 1, "truth": 2},{"task": "t3", "user": "u3", "voted": 1, "truth": 2}'
+
+# file bytes, and whether the joined decode may be trusted for them
+FORGED_FILES = {
+    "row_split_in_a_list": ('{"task":"a","user":"b","x":[{}\n{}]}\n' + TWO_OBJECTS + "\n", False),
+    "row_split_in_a_string": ('{"task":"a}\n{","user":"b"}\n' + TWO_OBJECTS + "\n", False),
+    "two_objects_on_a_line": (ROW + ROW + "\n" + ROW + "\n", False),
+    "two_objects_and_a_comma_on_a_line": (ROW + "," + ROW + "\n", False),
+    "brace_in_a_task": (ROW + "\n" + ROW.replace('"t1"', '"t{1"') + "\n", False),
+    "braces_in_a_key": ('{"task": "t", "user": "u", "voted": 1, "truth": 2, "{}": 3}\n', False),
+    "nested_object": ('{"task": "t", "user": "u", "voted": 1, "truth": 2, "x": {"y": 1}}\n', False),
+    "row_not_an_object": (ROW + "\n[1, 2]\n", False),
+    "no_newline_at_end": (ROW + "\n" + ROW, True),
+    "strip_only_padding": ("\x0c" + ROW + "\xa0\n\xa0 " + ROW + " \x0c\n", True),
+    "crlf_endings": (ROW + "\r\n" + ROW + "\r\n", True),
+    "cr_endings": (ROW + "\r" + ROW + "\r", True),
+    "blank_and_whitespace_lines": ("\n  \n" + ROW + "\n\t\n\n" + ROW + "\n \n", True),
+    "line_separator_in_a_string": (ROW.replace('"u1"', '"u\u2028\x85"') + "\n", True),
+    "ages_out_of_range_after_blank_lines": (ROW + "\n\n\n" + row_of("1e308") + "\n", False),
+    "nan_ages": (row_of("NaN") + "\n", False),
+    "ages_at_the_range_ends": (row_of("0") + "\n" + row_of("150.0") + "\n", True),
+    "empty": ("", False),
+    "only_blank_lines": ("\n \n", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED_FILES))
+def test_forged_votes_and_controls_files_read_as_the_per_line_oracle(case, tmp_path):
+    text, trusted = FORGED_FILES[case]
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(text.encode())
+    pairs, fallbacks = outcomes_and_fallbacks(path)
+    for got, want in pairs:
+        assert got == want
+    assert fallbacks == (0 if trusted else 2)
+
+
+def test_split_rows_are_refused_by_the_per_line_reader(tmp_path):
+    # each forged file joins into one array of three objects, one per line
+    for case in ("row_split_in_a_list", "row_split_in_a_string"):
+        text = FORGED_FILES[case][0]
+        assert len(json.loads("[" + ",".join(text.splitlines()) + "]")) == 3
+        path = tmp_path / f"{case}.jsonl"
+        path.write_text(text)
+        with pytest.raises(InputError, match=r"\.jsonl:1: bad record"):
+            read_votes_file(path)
+
+
+def test_unreadable_votes_file_names_the_file(tmp_path):
+    path = tmp_path / "votes.jsonl"
+    path.write_bytes(ROW.encode() + b"\n\xff\n")
+    assert reader_outcome(read_votes_file, path) == reader_outcome(read_votes_file_oracle, path)
+    with pytest.raises(InputError, match="not a text file"):
+        read_votes_file(path)
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,21 @@ import os
 import tempfile
 import warnings
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agegender import data as agegender_data
 from agegender.checkpoint import save_model
 from agegender.cli import main
 from agegender.config import ModelConfig, micro_config
-from agegender.data import generate_synthetic_dataset, write_ppm
+from agegender.data import generate_synthetic_dataset, read_controls_file, read_votes_file, write_ppm
 from agegender.errors import ConfigError
 from agegender.fusion import FaceBodyModel
-from oracles import vote_oracles_in_cli
+from oracles import read_controls_file_oracle, read_votes_file_oracle, reader_outcome, vote_oracles_in_cli
 
 SCENE_W, SCENE_H = 40, 30
 
@@ -112,6 +116,41 @@ def mutated_ndjson(draw, rows):
     if lines and draw(st.integers(0, 9)) == 0:
         lines[draw(st.integers(0, len(lines) - 1))] = draw(st.text(max_size=8))
     return "".join(line + "\n" for line in lines)
+
+
+# JSON values with no object inside; text may hold a brace
+FLAT_VALUES = LEAVES | EXTREMES | st.sampled_from([0, 150, 150.0, -0.0, 150.5, -1]) | st.lists(LEAVES, max_size=2)
+# what `str.strip` removes around a line: JSON whitespace and more
+PADDING = st.text(" \t\x0b\x0c\x1c\x85\xa0\u2028", max_size=2)
+
+
+@st.composite
+def mutated_flat_ndjson(draw, rows):
+    """`rows` as newline-delimited JSON after zero to three edits that keep
+    every line one flat object (no nested object): a field set to a flat
+    value, deleted or added, or a row dropped or repeated. Lines are
+    sometimes padded with what `str.strip` removes, separated by blank
+    lines, or ended with \\r\\n."""
+    rows = copy.deepcopy(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        op = draw(st.sampled_from(("set", "delete", "add", "drop", "repeat")))
+        if op in ("set", "delete") and rows[i]:
+            key = draw(st.sampled_from(sorted(rows[i])))
+            if op == "set":
+                rows[i][key] = draw(FLAT_VALUES)
+            else:
+                del rows[i][key]
+        elif op == "add":
+            rows[i][draw(st.text(max_size=3))] = draw(FLAT_VALUES)
+        elif op == "drop" and len(rows) > 1:
+            del rows[i]
+        elif op == "repeat":
+            rows.insert(i, copy.deepcopy(rows[i]))
+    lines = [draw(PADDING) + json.dumps(row) + draw(PADDING) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(PADDING))
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + "\n"
 
 
 PPM_TOKENS = st.one_of(
@@ -339,16 +378,50 @@ def test_pair_survives_mutated_npy(blob):
     _pair(_ndjson([{**row, "image": "scene.npy"} for row in DETECTIONS]), blob, "scene.npy")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(mutated_ndjson(VOTES))
 def test_aggregate_survives_mutated_votes(text):
     _aggregate(text, _ndjson(CONTROLS))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(mutated_ndjson(CONTROLS))
 def test_aggregate_survives_mutated_controls(text):
     _aggregate(_ndjson(VOTES), text)
+
+
+def _one_flat_object_per_line(text):
+    """Whether every stripped non-blank line of `text` holds exactly one `{`
+    and one `}`, first and last."""
+    lines = [line.strip() for line in text.replace("\r\n", "\n").split("\n")]
+    return all(line.startswith("{") and line.endswith("}") and line.count("{") == line.count("}") == 1
+               for line in lines if line)
+
+
+@pytest.mark.parametrize("reader,oracle,rows", [
+    (read_votes_file, read_votes_file_oracle, VOTES),
+    (read_controls_file, read_controls_file_oracle, CONTROLS),
+], ids=["votes", "controls"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_readers_equal_the_per_line_oracles(reader, oracle, rows, data):
+    # the flat mutations keep the joined decode in play; the others mostly
+    # take the per-line path
+    text = data.draw(st.one_of(mutated_flat_ndjson(rows), mutated_ndjson(rows)))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "rows.jsonl")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        fallback = mock.Mock(wraps=agegender_data._read_ndjson)
+        with mock.patch.object(agegender_data, "_read_ndjson", fallback):
+            got = reader_outcome(reader, path)
+        want = reader_outcome(oracle, path)
+    assert got == want
+    # an accepted file of flat rows, one a line, is read by the joined decode
+    trusted = not want.startswith("InputError") and _one_flat_object_per_line(text)
+    assert fallback.call_count == (0 if trusted else 1)
 
 
 @settings(max_examples=150, deadline=None)
