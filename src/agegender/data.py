@@ -155,8 +155,11 @@ def _read_flat_ndjson(path):
     any other shape (a nested object, a brace inside a string, two objects
     on a line, a row that is not an object) gives None, and the caller
     reads it with `_read_ndjson`, which gives the rows or names the bad
-    `path:line`.
+    `path:line`. So does anything but a regular file, which a second read
+    could not see again (a pipe).
     """
+    if not os.path.isfile(path):
+        return None
     try:
         with open(path) as fh:
             lines = fh.read().split("\n")  # universal newlines: the lines `_read_ndjson` iterates
@@ -354,7 +357,8 @@ def _vote_age(value, what, path, line):
     `path:line`."""
     age = _finite(value, what, path, line)
     if not VOTE_AGES[0] <= age <= VOTE_AGES[1]:
-        raise InputError(f"{path}:{line}: {what} must be within [0, 150] years, got {value!r}")
+        raise InputError(f"{path}:{line}: {what} must be within [{VOTE_AGES[0]:g}, {VOTE_AGES[1]:g}] years, "
+                         f"got {value!r}")
     return age
 
 
@@ -376,6 +380,7 @@ def _vote_ages(values, nullable=False):
 
 
 def _has_fields(rows, *fields):
+    """Whether every row holds every one of `fields`."""
     return all(all(map(operator.contains, rows, repeat(field))) for field in fields)
 
 

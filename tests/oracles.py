@@ -6,8 +6,9 @@ The exceptions are the fused layers of the tensor engine, whose oracles
 are the composites of generic ops (softmax, matmul, reshape, transpose, and
 the taped window columns and fold built here on the slice loops) they
 replace, which have finite-difference tests of their own;
-the per-task vote aggregation and full-range KDE grid, kept as the
-references the columnar and windowed versions must equal bit for bit; and
+the per-line votes and controls readers and the per-task vote
+aggregation and full-range KDE grid, kept as the references the joined
+readers and the columnar and windowed versions must equal bit for bit; and
 the straightforward crop and pair preprocessing, augmentation, softmax, GELU,
 out-of-place `linear` and dropout masks, which their leaner replacements
 must equal bit for bit.

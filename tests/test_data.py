@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -143,7 +145,8 @@ def row_of(age):
 
 # a valid line holding two objects, which restores the row count of a
 # file whose first two lines join into one object
-TWO_OBJECTS = '{"task": "t2", "user": "u2", "voted": 1, "truth": 2},{"task": "t3", "user": "u3", "voted": 1, "truth": 2}'
+TWO_OBJECTS = ('{"task": "t2", "user": "u2", "voted": 1, "truth": 2},'
+               '{"task": "t3", "user": "u3", "voted": 1, "truth": 2}')
 
 # file bytes, and whether the joined decode may be trusted for them
 FORGED_FILES = {
@@ -189,6 +192,19 @@ def test_split_rows_are_refused_by_the_per_line_reader(tmp_path):
         path.write_text(text)
         with pytest.raises(InputError, match=r"\.jsonl:1: bad record"):
             read_votes_file(path)
+
+
+def test_votes_from_a_pipe_are_read_once(tmp_path):
+    # a pipe cannot be read a second time, so it goes line by line at once
+    fifo = tmp_path / "votes.jsonl"
+    os.mkfifo(fifo)
+    outcome = []
+    reader = threading.Thread(target=lambda: outcome.append(reader_outcome(read_votes_file, fifo)), daemon=True)
+    reader.start()
+    fifo.write_text(ROW + "\n" + row_of("151") + "\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert outcome == [f"InputError: {fifo}:2: age must be within [0, 150] years, got 151"]
 
 
 def test_unreadable_votes_file_names_the_file(tmp_path):

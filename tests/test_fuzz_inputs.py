@@ -8,9 +8,10 @@ case must exit 0, 1 or 2 without an exception escaping `cli.main`; a run
 that exits 0 must write strict JSON (no NaN or Infinity), and any other
 exit must print its reason. A sample manifest with one box of the wrong
 JSON type or one unknown gender must exit 1 naming its `path:line`. Every
-mutated votes or controls file also goes through the per-task oracle
-pipeline, which must exit alike, print the same reason and write the same
-bytes.
+mutated votes or controls file also goes through the per-line and per-task
+oracle pipeline, which must exit alike, print the same reason and write the
+same bytes, and the votes and controls readers must give what the per-line
+oracle readers give, reading an accepted file of flat rows in one decode.
 """
 
 import contextlib
