@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -18,7 +17,7 @@ from .data import (
     read_controls_file,
     read_detection_manifest,
     read_votes_file,
-    write_pair_manifest,
+    write_ndjson,
 )
 from .errors import ConfigError, DimensionError, InputError, NumericalError, TapeError
 from .gradcheck import model_gradcheck
@@ -103,7 +102,7 @@ def cmd_pair(args):
             )
             if record["face_bbox"] is not None or record["body_bbox"] is not None:
                 rows.append({"image": image_path, **record})
-    write_pair_manifest(args.out, rows)
+    write_ndjson(args.out, rows)
     print(f"wrote {len(rows)} pair records to {args.out}")
     return 0
 
@@ -125,14 +124,8 @@ def cmd_aggregate(args):
     with open(args.out, "w") as fh:
         fh.writelines(map(_aggregated_line, results))
     if args.user_report:
-        with open(args.user_report, "w") as fh:
-            for s in sorted(stats, key=lambda s: s.user_id):
-                fh.write(
-                    json.dumps(
-                        {"user": s.user_id, "mae": s.mae, "cs3": s.cs3, "controls": s.control_count}
-                    )
-                    + "\n"
-                )
+        write_ndjson(args.user_report, ({"user": s.user_id, "mae": s.mae, "cs3": s.cs3, "controls": s.control_count}
+                                        for s in sorted(stats, key=lambda s: s.user_id)))
     print(f"aggregated {len(results)} tasks with {args.method}")
     return 0
 

@@ -14,7 +14,7 @@ import operator
 import os
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -100,91 +100,93 @@ def load_image(path):
 # manifests (newline-delimited JSON records, fixed key order)
 
 
-def _write_ndjson(path, rows):
+def write_ndjson(path, rows):
+    """`rows` to `path`, one `json.dumps` a line."""
     with open(path, "w") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
+
+
+def _checked(path, line_nos, rows, check):
+    """[check(row), ...] for `rows`, read from lines `line_nos` of `path`.
+
+    The one place a row's error gets its location: an InputError from
+    `check` becomes `path:line: <message>`, a KeyError `path:line: missing
+    field <key>`, for the first row that raises.
+    """
+    out = []
+    for line_no, row in zip(line_nos, rows):
+        try:
+            out.append(check(row))
+        except InputError as exc:
+            raise InputError(f"{path}:{line_no}: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"{path}:{line_no}: missing field {exc}") from exc
+    return out
 
 
 # one decoder for every line: `json.loads` wraps the same `raw_decode`
 _DECODER = json.JSONDecoder()
 
 
+def _decoded(line):
+    """The value of a stripped line as `json.loads` decodes it: one value
+    and nothing after it, else InputError."""
+    try:
+        row, end = _DECODER.raw_decode(line)
+        if end != len(line):
+            raise json.JSONDecodeError("Extra data", line, end)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"bad record: {exc}") from exc
+    return row
+
+
 def _read_ndjson(path):
-    """(line number, row) pairs for the non-blank lines of `path`, to be
-    iterated once: the reader of sample and detection manifests, and of a
-    votes or controls file that `_read_flat_ndjson` does not read.
+    """(line numbers, rows) for the non-blank lines of `path`, read once:
+    the reader of every manifest.
 
-    Each stripped line is decoded exactly as `json.loads` would decode it:
-    one value and nothing after it, else InputError naming `path:line`.
-    The pairs are zipped from an array of line numbers and the row list
-    rather than stored as tuples, so a large file costs 8 bytes a line
-    and adds no objects for the garbage collector to scan.
-    """
-    decode = _DECODER.raw_decode
-    line_nos, rows = array("q"), []
-    with open(path) as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row, end = decode(line)
-                    if end != len(line):
-                        raise json.JSONDecodeError("Extra data", line, end)
-                except (ValueError, RecursionError) as exc:
-                    raise InputError(f"{path}:{line_no}: bad record: {exc}") from exc
-                line_nos.append(line_no)
-                rows.append(row)
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not a text file: {exc}") from exc
-    return zip(line_nos, rows)
-
-
-def _read_flat_ndjson(path):
-    """The rows of `path`, as `_read_ndjson` gives them, from one
-    `json.loads` over its stripped non-blank lines joined as one array; or
-    None when that decode is not to be trusted.
-
-    It is trusted only when every line starts with `{` and ends with `}`,
-    the text holds exactly one `{` and one `}` per line, and the array
+    Each stripped line decodes as `_decoded` decodes it, else InputError
+    naming `path:line`. The lines are decoded by one `json.loads` over
+    them joined as an array when every line starts with `{` and ends with
+    `}`, the text holds exactly one `{` and one `}` per line, and the array
     holds one object per line. Then no brace is left for a string or a
-    nested object, so each object spans exactly its own line and decodes as
-    that line alone does. A file that is not text, does not decode, or has
-    any other shape (a nested object, a brace inside a string, two objects
-    on a line, a row that is not an object) gives None, and the caller
-    reads it with `_read_ndjson`, which gives the rows or names the bad
-    `path:line`. So does anything but a regular file, which a second read
-    could not see again (a pipe).
+    nested object, so each object spans exactly its own line and decodes
+    as that line alone does. Any other file (a nested object, a brace
+    inside a string, two objects on a line, a row that is not an object, a
+    bad record) is decoded line by line. The line numbers are a `range`
+    unless a blank line comes before the last row.
     """
-    if not os.path.isfile(path):
-        return None
     try:
         with open(path) as fh:
-            lines = fh.read().split("\n")  # universal newlines: the lines `_read_ndjson` iterates
-    except UnicodeDecodeError:
-        return None
-    lines = list(filter(None, map(str.strip, lines)))
+            lines = fh.read().split("\n")  # universal newlines: the lines iterating `fh` gives
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file: {exc}") from exc
+    lines = list(map(str.strip, lines))
+    while lines and not lines[-1]:
+        lines.pop()
+    line_nos = range(1, len(lines) + 1)
+    if "" in lines:
+        line_nos = array("q", compress(line_nos, lines))
+        lines = list(filter(None, lines))
     n = len(lines)
     text = "[" + ",\n".join(lines) + "]"
-    del lines  # the text alone is held through the decode
     # a line holds no newline, so each "},\n{" is a line boundary
-    if not (text[1:2] == "{" and text[-2:-1] == "}" and text.count("},\n{") == n - 1
+    if (text[1:2] == "{" and text[-2:-1] == "}" and text.count("},\n{") == n - 1
             and text.count("{") == n == text.count("}")):
-        return None
-    try:
-        rows = json.loads(text)
-    except (ValueError, RecursionError):
-        return None
-    if len(rows) != n or set(map(type, rows)) != {dict}:
-        return None
-    return rows
+        del lines  # the text alone is held through the decode
+        try:
+            rows = json.loads(text)
+            if len(rows) == n and set(map(type, rows)) == {dict}:
+                return line_nos, rows
+        except (ValueError, RecursionError):
+            pass
+        lines = text[1:-1].split(",\n")
+    return line_nos, _checked(path, line_nos, lines, _decoded)
 
 
-def _finite(value, what, path, line):
-    """`value` as a finite float, or InputError naming `path:line`. Only a
-    JSON number counts: an int or a float, not a bool or a string."""
+def _finite(value, what):
+    """`value` as a finite float, or InputError. Only a JSON number counts:
+    an int or a float, not a bool or a string."""
     number = math.nan
     if type(value) is float:  # exact types: a bool is an int subclass; most rows are floats
         number = value
@@ -194,7 +196,7 @@ def _finite(value, what, path, line):
         except OverflowError:  # an int beyond the float range
             pass
     if not math.isfinite(number):
-        raise InputError(f"{path}:{line}: {what} must be a finite number, got {value!r}")
+        raise InputError(f"{what} must be a finite number, got {value!r}")
     return number
 
 
@@ -215,19 +217,19 @@ class SampleRecord:
             raise InputError(f"{self.image}: unknown gender {self.gender!r}")
 
 
-def _bbox_or_none(value, where):
+def _bbox_or_none(value):
     """None, or a BBox from a list of four JSON integers (not bools)."""
     if value is None:
         return None
     if not (isinstance(value, list) and len(value) == 4 and all(type(v) is int for v in value)):
-        raise InputError(f"{where}: bad bbox {value!r}: must be null or a list of four integers")
+        raise InputError(f"bad bbox {value!r}: must be null or a list of four integers")
     try:
         return BBox(*value)
     except InputError as exc:  # a degenerate box
-        raise InputError(f"{where}: bad bbox {value!r}: {exc}") from exc
+        raise InputError(f"bad bbox {value!r}: {exc}") from exc
 
 
-def _file_name(row, where):
+def _file_name(row):
     """`row["image"]` if it is a name a file can have, else InputError."""
     image = row["image"]
     if isinstance(image, str) and image and "\0" not in image:
@@ -236,7 +238,7 @@ def _file_name(row, where):
             return image
         except UnicodeError:
             pass
-    raise InputError(f"{where}: image must be a file name, got {image!r}")
+    raise InputError(f"image must be a file name, got {image!r}")
 
 
 def write_sample_manifest(path, records):
@@ -251,7 +253,14 @@ def write_sample_manifest(path, records):
                 "gender": r.gender,
             }
         )
-    _write_ndjson(path, rows)
+    write_ndjson(path, rows)
+
+
+def _sample(row):
+    if not isinstance(row, dict):
+        raise InputError(f"a row must be an object, got {row!r}")
+    return SampleRecord(_file_name(row), _bbox_or_none(row.get("face_bbox")), _bbox_or_none(row.get("body_bbox")),
+                        _finite(row["age"], "age"), row["gender"])
 
 
 def read_sample_manifest(path):
@@ -262,33 +271,15 @@ def read_sample_manifest(path):
     integers, no bbox at all, an age that is not a finite number or an
     unknown gender raises InputError naming `path:line`.
     """
-    records = []
-    for i, row in _read_ndjson(path):
-        where = f"{path}:{i}"
-        try:
-            if not isinstance(row, dict):
-                raise InputError(f"{where}: a row must be an object, got {row!r}")
-            fields = (
-                _file_name(row, where),
-                _bbox_or_none(row.get("face_bbox"), where),
-                _bbox_or_none(row.get("body_bbox"), where),
-                _finite(row["age"], "age", path, i),
-                row["gender"],
-            )
-        except KeyError as exc:
-            raise InputError(f"{where}: missing field {exc}") from exc
-        try:
-            records.append(SampleRecord(*fields))
-        except InputError as exc:  # no bbox, or an unknown gender
-            raise InputError(f"{where}: {exc}") from exc
+    records = _checked(path, *_read_ndjson(path), _sample)
     if not records:
         raise InputError(f"{path}: empty manifest")
     return records
 
 
-def _detection(d, where):
+def _detection(d):
     if not isinstance(d, dict):
-        raise InputError(f"{where}: a detection must be an object, got {d!r}")
+        raise InputError(f"a detection must be an object, got {d!r}")
     try:
         return Detection(
             bbox=BBox(int(d["x0"]), int(d["y0"]), int(d["x1"]), int(d["y1"])),
@@ -296,7 +287,16 @@ def _detection(d, where):
             score=float(d.get("score", 1.0)),
         )
     except (TypeError, ValueError, OverflowError) as exc:  # InputError is a ValueError
-        raise InputError(f"{where}: bad detection {d!r}: {exc}") from exc
+        raise InputError(f"bad detection {d!r}: {exc}") from exc
+
+
+def _detections(row):
+    if not isinstance(row, dict):
+        raise InputError(f"a row must be an object, got {row!r}")
+    image, dets = _file_name(row), row["detections"]
+    if not isinstance(dets, list):
+        raise InputError(f"detections must be a list, got {dets!r}")
+    return {"image": image, "detections": list(map(_detection, dets))}
 
 
 def read_detection_manifest(path):
@@ -307,19 +307,7 @@ def read_detection_manifest(path):
     with coordinates that convert to integers, a known kind and a score in
     [0, 1] raises InputError naming `path:line`.
     """
-    out = []
-    for i, row in _read_ndjson(path):
-        where = f"{path}:{i}"
-        try:
-            if not isinstance(row, dict):
-                raise InputError(f"{where}: a row must be an object, got {row!r}")
-            image, dets = _file_name(row, where), row["detections"]
-            if not isinstance(dets, list):
-                raise InputError(f"{where}: detections must be a list, got {dets!r}")
-            out.append({"image": image, "detections": [_detection(d, where) for d in dets]})
-        except KeyError as exc:
-            raise InputError(f"{where}: missing field {exc}") from exc
-    return out
+    return _checked(path, *_read_ndjson(path), _detections)
 
 
 def write_detection_manifest(path, entries):
@@ -341,24 +329,18 @@ def write_detection_manifest(path, entries):
                 ],
             }
         )
-    _write_ndjson(path, rows)
-
-
-def write_pair_manifest(path, rows):
-    _write_ndjson(path, rows)
+    write_ndjson(path, rows)
 
 
 # vote ages and control answers outside this range of years are refused
 VOTE_AGES = (0.0, 150.0)
 
 
-def _vote_age(value, what, path, line):
-    """`value` as a float within VOTE_AGES years, or InputError naming
-    `path:line`."""
-    age = _finite(value, what, path, line)
+def _vote_age(value, what):
+    """`value` as a float within VOTE_AGES years, or InputError."""
+    age = _finite(value, what)
     if not VOTE_AGES[0] <= age <= VOTE_AGES[1]:
-        raise InputError(f"{path}:{line}: {what} must be within [{VOTE_AGES[0]:g}, {VOTE_AGES[1]:g}] years, "
-                         f"got {value!r}")
+        raise InputError(f"{what} must be within [{VOTE_AGES[0]:g}, {VOTE_AGES[1]:g}] years, got {value!r}")
     return age
 
 
@@ -380,8 +362,17 @@ def _vote_ages(values, nullable=False):
 
 
 def _has_fields(rows, *fields):
-    """Whether every row holds every one of `fields`."""
-    return all(all(map(operator.contains, rows, repeat(field))) for field in fields)
+    """Whether every row is an object holding every one of `fields`."""
+    return set(map(type, rows)) <= {dict} and all(
+        all(map(operator.contains, rows, repeat(field))) for field in fields)
+
+
+def _vote_row(row):
+    if not isinstance(row, dict) or "task" not in row or "user" not in row:
+        raise InputError("vote rows need task and user fields")
+    if row.get("age") is not None:
+        _vote_age(row["age"], "age")
+    return row
 
 
 def read_votes_file(path):
@@ -389,46 +380,38 @@ def read_votes_file(path):
     whose age is neither null (no age vote) nor a JSON number within
     [0, 150] years, raises InputError naming `path:line`.
 
-    The rows of a flat file are checked as columns; any other file, and
-    any failed check, goes through the per-line reader, which names the
-    first bad line."""
-    rows = _read_flat_ndjson(path)
-    if (rows is not None and _has_fields(rows, "task", "user")
+    The rows are checked as columns; only a failed check checks them row
+    by row, which names the first bad line."""
+    line_nos, rows = _read_ndjson(path)
+    if not (_has_fields(rows, "task", "user")
             and _vote_ages(list(map(dict.get, rows, repeat("age"))), nullable=True) is not None):
-        return rows
-    rows = []
-    for i, row in _read_ndjson(path):
-        if not isinstance(row, dict) or "task" not in row or "user" not in row:
-            raise InputError(f"{path}:{i}: vote rows need task and user fields")
-        if row.get("age") is not None:
-            _vote_age(row["age"], "age", path, i)
-        rows.append(row)
+        _checked(path, line_nos, rows, _vote_row)
     return rows
+
+
+def _control_answer(row):
+    if not isinstance(row, dict):
+        raise InputError(f"control rows must be objects, got {row!r}")
+    answer = (_vote_age(row["voted"], "voted"), _vote_age(row["truth"], "truth"))
+    return str(row["user"]), answer
 
 
 def read_controls_file(path):
     """{user: [(voted, truth), ...]}; voted and truth are JSON numbers
     within [0, 150] years, else InputError naming `path:line`. Checked as
     `read_votes_file` checks its rows."""
-    rows = _read_flat_ndjson(path)
-    if rows is not None and _has_fields(rows, "user", "voted", "truth"):
+    line_nos, rows = _read_ndjson(path)
+    voted = truth = None
+    if _has_fields(rows, "user", "voted", "truth"):
         voted, truth = (_vote_ages(list(map(operator.itemgetter(k), rows))) for k in ("voted", "truth"))
-        if voted is not None and truth is not None:
-            answers = {}
-            for user, answer in zip(map(str, map(operator.itemgetter("user"), rows)),
-                                    zip(voted.tolist(), truth.tolist())):
-                answers.setdefault(user, []).append(answer)
-            return answers
-    answers = {}
-    for i, row in _read_ndjson(path):
-        if not isinstance(row, dict):
-            raise InputError(f"{path}:{i}: control rows must be objects, got {row!r}")
-        try:
-            answer = (_vote_age(row["voted"], "voted", path, i), _vote_age(row["truth"], "truth", path, i))
-            answers.setdefault(str(row["user"]), []).append(answer)
-        except KeyError as exc:
-            raise InputError(f"{path}:{i}: missing field {exc}") from exc
-    return answers
+    if voted is None or truth is None:
+        answers = _checked(path, line_nos, rows, _control_answer)
+    else:
+        answers = zip(map(str, map(operator.itemgetter("user"), rows)), zip(voted.tolist(), truth.tolist()))
+    by_user = {}
+    for user, answer in answers:
+        by_user.setdefault(user, []).append(answer)
+    return by_user
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,10 @@ def evaluate(manifest_path, model_or_checkpoint, mode="both"):
     for start in range(0, len(kept), config.batch_size):
         chunk = [pair for _, pair in kept[start:start + config.batch_size]]
         faces, bodies = _batch_arrays(chunk, config.image_side, model.dtype)
-        logits, age_norm = model.forward_batch(faces, bodies, skip=skip)
-        years = check_finite(normalizer.denormalize(age_norm.data), "predicted ages")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction is refused below
+            logits, age_norm = model.forward_batch(faces, bodies, skip=skip)
+            years = normalizer.denormalize(age_norm.data)
+        years = check_finite(years, "predicted ages")
         check_finite(logits, "predicted gender logits")
         pred_years.extend(years.tolist())
         pred_gender.extend("male" if row[0] >= row[1] else "female" for row in logits.data)

@@ -7,14 +7,11 @@ annotator does not carry infinite weight). Gender is the plain mode,
 rejected when the mode frequency drops below 75% (exactly 75% is kept).
 The classical baseline aggregators are here too, for comparison runs.
 
-Cost: `data.read_votes_file` decodes a file of flat rows, one per line,
-in one `json.loads` over the lines joined as an array, trusted only when
-each line holds exactly one `{`, first, and one `}`, last, and the array
-one object per line; other files are read line by line. The rows are
-checked as columns. `collect_vote_records` reads each field of every row
-with one `map`, codes tasks and users by dict look-up, and groups the
-votes stably by task into one columnar `VoteTable` (user, age and gender
-arrays with per-task offsets), checked by array operations.
+Cost: votes files are read as `data._read_ndjson` says.
+`collect_vote_records` reads each field of every row with one `map`,
+codes tasks and users by dict look-up, and groups the votes stably by
+task into one columnar `VoteTable` (user, age and gender arrays with
+per-task offsets), checked by array operations.
 `aggregate_tasks` looks each user's MAE up once and averages the tasks of
 each age-vote count k as one C-contiguous [n_k, k] block, so each age is
 bit-identical to `weighted_mean_age` on that task alone. Genders take two

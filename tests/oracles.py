@@ -24,6 +24,7 @@ import numpy as np
 from scipy import stats as sps
 
 from agegender import cli
+from agegender import data
 from agegender import tensor as T
 from agegender.augment import jitter_bbox, random_erase_region
 from agegender.errors import InputError, NumericalError
@@ -415,6 +416,26 @@ def reader_outcome(reader, path):
         return json.dumps(reader(path))
     except InputError as exc:
         return f"InputError: {exc}"
+
+
+def joined_read_outcome(reader, path):
+    """(`reader_outcome(reader, path)`, whether the read took the joined
+    decode alone): one `json.loads` over the file and no per-line step.
+    The per-line decode and the per-row checks both run through
+    `data._checked`, so a read that calls it took a per-line step."""
+    loads = mock.Mock(wraps=json.loads)
+    checked = mock.Mock(wraps=data._checked)
+    with mock.patch.object(data.json, "loads", loads), mock.patch.object(data, "_checked", checked):
+        outcome = reader_outcome(reader, path)
+    return outcome, loads.call_count == 1 and not checked.called
+
+
+def read_ndjson_pairs(path):
+    """`data._read_ndjson(path)` as `read_ndjson_oracle` gives it: (line
+    number, row) pairs."""
+    line_nos, rows = data._read_ndjson(path)
+    assert len(line_nos) == len(rows)
+    return list(zip(line_nos, rows))
 
 
 def aggregated_line_oracle(row):

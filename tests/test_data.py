@@ -1,12 +1,10 @@
 import json
 import os
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from agegender import data
 from agegender.data import (
     SYNTH_FACE_BBOX,
     SampleRecord,
@@ -24,7 +22,14 @@ from agegender.data import (
 )
 from agegender.errors import InputError
 from agegender.pairing import BBox, Detection
-from oracles import read_controls_file_oracle, read_votes_file_oracle, reader_outcome
+from oracles import (
+    joined_read_outcome,
+    read_controls_file_oracle,
+    read_ndjson_oracle,
+    read_ndjson_pairs,
+    read_votes_file_oracle,
+    reader_outcome,
+)
 
 
 def test_ppm_roundtrip(tmp_path, ):
@@ -122,16 +127,16 @@ def test_votes_and_controls_files(tmp_path):
     assert answers == {"u1": [(30.0, 32.0), (40.0, 40.0)]}
 
 
-def outcomes_and_fallbacks(path):
+def outcomes_and_joined_reads(path):
     """[(reader outcome, oracle outcome)] for the votes and controls
-    readers of `path`, and how often they fell back to the per-line
-    reader."""
-    fallback = mock.Mock(wraps=data._read_ndjson)
-    with mock.patch.object(data, "_read_ndjson", fallback):
-        pairs = [(reader_outcome(reader, path), reader_outcome(oracle, path))
-                 for reader, oracle in ((read_votes_file, read_votes_file_oracle),
-                                        (read_controls_file, read_controls_file_oracle))]
-    return pairs, fallback.call_count
+    readers of `path`, and for each reader whether it took the joined
+    decode alone."""
+    pairs, joined = [], []
+    for reader, oracle in ((read_votes_file, read_votes_file_oracle), (read_controls_file, read_controls_file_oracle)):
+        got, took = joined_read_outcome(reader, path)
+        pairs.append((got, reader_outcome(oracle, path)))
+        joined.append(took)
+    return pairs, joined
 
 
 # a row both readers accept
@@ -167,6 +172,8 @@ FORGED_FILES = {
     "ages_out_of_range_after_blank_lines": (ROW + "\n\n\n" + row_of("1e308") + "\n", False),
     "nan_ages": (row_of("NaN") + "\n", False),
     "ages_at_the_range_ends": (row_of("0") + "\n" + row_of("150.0") + "\n", True),
+    # the guard holds, the joined decode fails, the per-line decode names line 3
+    "bad_record_after_blank_lines": (ROW + "\n\n" + ROW.replace("}", ",}") + "\n", False),
     "empty": ("", False),
     "only_blank_lines": ("\n \n", False),
 }
@@ -177,10 +184,32 @@ def test_forged_votes_and_controls_files_read_as_the_per_line_oracle(case, tmp_p
     text, trusted = FORGED_FILES[case]
     path = tmp_path / "rows.jsonl"
     path.write_bytes(text.encode())
-    pairs, fallbacks = outcomes_and_fallbacks(path)
+    pairs, joined = outcomes_and_joined_reads(path)
     for got, want in pairs:
         assert got == want
-    assert fallbacks == (0 if trusted else 2)
+    assert joined == [trusted, trusted]
+
+
+DETECTION_ROW = json.dumps({"image": "scene.ppm", "detections": [{"kind": "face", "x0": 0, "y0": 0, "x1": 4, "y1": 4}]})
+SAMPLE_ROW = json.dumps({"image": "a.ppm", "face_bbox": [0, 0, 4, 4], "body_bbox": None, "age": 31.5, "gender": "male"})
+
+# manifests beside the forged votes and controls files: nested rows are
+# decoded line by line, flat ones in one decode
+MANIFESTS = {
+    "nested_detection_manifest": DETECTION_ROW + "\n" + DETECTION_ROW + "\n",
+    "nested_rows_between_blank_lines": "\n" + DETECTION_ROW + "\n\n \n" + DETECTION_ROW + "\n\n",
+    "bad_nested_row_after_blank_lines": DETECTION_ROW + "\n\n" + DETECTION_ROW[:-1] + "\n",
+    "flat_sample_manifest": SAMPLE_ROW + "\n" + SAMPLE_ROW + "\n",
+    "flat_rows_between_blank_lines": "\n\n" + SAMPLE_ROW + "\n\t\n" + SAMPLE_ROW + "\n \n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFESTS) + sorted(FORGED_FILES))
+def test_read_ndjson_equals_the_per_line_oracle(case, tmp_path):
+    text = MANIFESTS[case] if case in MANIFESTS else FORGED_FILES[case][0]
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(text.encode())
+    assert reader_outcome(read_ndjson_pairs, path) == reader_outcome(read_ndjson_oracle, path)
 
 
 def test_split_rows_are_refused_by_the_per_line_reader(tmp_path):
@@ -195,7 +224,7 @@ def test_split_rows_are_refused_by_the_per_line_reader(tmp_path):
 
 
 def test_votes_from_a_pipe_are_read_once(tmp_path):
-    # a pipe cannot be read a second time, so it goes line by line at once
+    # a pipe cannot be read a second time; its one read gives the bad line
     fifo = tmp_path / "votes.jsonl"
     os.mkfifo(fifo)
     outcome = []
@@ -212,6 +241,16 @@ def test_unreadable_votes_file_names_the_file(tmp_path):
     path.write_bytes(ROW.encode() + b"\n\xff\n")
     assert reader_outcome(read_votes_file, path) == reader_outcome(read_votes_file_oracle, path)
     with pytest.raises(InputError, match="not a text file"):
+        read_votes_file(path)
+
+
+def test_not_a_text_file_names_the_offset_from_the_start_of_the_file(tmp_path):
+    # the file is decoded in one pass, not in 8 KiB blocks
+    head = (ROW + "\n") * 200
+    assert len(head) > 8192
+    path = tmp_path / "votes.jsonl"
+    path.write_bytes(head.encode() + b"\xff\n")
+    with pytest.raises(InputError, match=f"not a text file: .* in position {len(head)}: invalid start byte"):
         read_votes_file(path)
 
 

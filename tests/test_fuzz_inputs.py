@@ -22,21 +22,26 @@ import os
 import tempfile
 import warnings
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agegender import data as agegender_data
 from agegender.checkpoint import save_model
 from agegender.cli import main
 from agegender.config import ModelConfig, micro_config
 from agegender.data import generate_synthetic_dataset, read_controls_file, read_votes_file, write_ppm
 from agegender.errors import ConfigError
 from agegender.fusion import FaceBodyModel
-from oracles import read_controls_file_oracle, read_votes_file_oracle, reader_outcome, vote_oracles_in_cli
+from oracles import (
+    joined_read_outcome,
+    read_controls_file_oracle,
+    read_ndjson_oracle,
+    read_ndjson_pairs,
+    read_votes_file_oracle,
+    reader_outcome,
+    vote_oracles_in_cli,
+)
 
 SCENE_W, SCENE_H = 40, 30
 
@@ -415,14 +420,14 @@ def test_readers_equal_the_per_line_oracles(reader, oracle, rows, data):
         path = os.path.join(work, "rows.jsonl")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        fallback = mock.Mock(wraps=agegender_data._read_ndjson)
-        with mock.patch.object(agegender_data, "_read_ndjson", fallback):
-            got = reader_outcome(reader, path)
+        got, joined = joined_read_outcome(reader, path)
         want = reader_outcome(oracle, path)
+        rows_got = reader_outcome(read_ndjson_pairs, path)
+        rows_want = reader_outcome(read_ndjson_oracle, path)
     assert got == want
-    # an accepted file of flat rows, one a line, is read by the joined decode
-    trusted = not want.startswith("InputError") and _one_flat_object_per_line(text)
-    assert fallback.call_count == (0 if trusted else 1)
+    assert rows_got == rows_want
+    # an accepted file of flat rows, one a line, is read by the joined decode alone
+    assert joined == (not want.startswith("InputError") and _one_flat_object_per_line(text))
 
 
 @settings(max_examples=150, deadline=None)
@@ -439,6 +444,7 @@ def test_eval_names_the_line_of_a_bad_sample_value(case, mode):
     assert code == 1 and f"manifest.jsonl:{bad_line}: " in last
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(mutated_checkpoint(), st.sampled_from(["face", "body", "both"]))
 def test_eval_survives_mutated_checkpoint(checkpoint, mode):
