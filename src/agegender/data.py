@@ -148,13 +148,15 @@ def _read_ndjson(path):
     Each stripped line decodes as `_decoded` decodes it, else InputError
     naming `path:line`. The lines are decoded by one `json.loads` over
     them joined as an array when every line starts with `{` and ends with
-    `}`, the text holds exactly one `{` and one `}` per line, and the array
-    holds one object per line. Then no brace is left for a string or a
-    nested object, so each object spans exactly its own line and decodes
-    as that line alone does. Any other file (a nested object, a brace
-    inside a string, two objects on a line, a row that is not an object, a
-    bad record) is decoded line by line. The line numbers are a `range`
-    unless a blank line comes before the last row.
+    `}`, and the text holds exactly one `{` and one `}` per line. Then no
+    brace is left for a string or a nested object, and a string cannot
+    cross a newline, so each line's `{` opens an object that only its
+    closing `}` ends: a decode that succeeds holds one object per line,
+    each decoded as that line alone decodes, and needs no check of its
+    own. Any other file (a nested object, a brace inside a string, two
+    objects on a line, a row that is not an object, a bad record) is
+    decoded line by line. The line numbers are a `range` unless a blank
+    line comes before the last row.
     """
     try:
         with open(path) as fh:
@@ -175,9 +177,7 @@ def _read_ndjson(path):
             and text.count("{") == n == text.count("}")):
         del lines  # the text alone is held through the decode
         try:
-            rows = json.loads(text)
-            if len(rows) == n and set(map(type, rows)) == {dict}:
-                return line_nos, rows
+            return line_nos, json.loads(text)
         except (ValueError, RecursionError):
             pass
         lines = text[1:-1].split(",\n")

@@ -164,8 +164,10 @@ class Tape:
     """Records ops in execution order; replays them in reverse on backward.
 
     A tape is active only in the thread that entered it; every thread can
-    have its own. A tape can run backward exactly once; call :meth:`reset`
-    (or build a fresh tape) before reusing it.
+    have its own. Backward consumes the tape: it frees each node and each
+    non-leaf gradient once replayed, so only leaf gradients remain and
+    `len(tape)` is 0 afterwards. A tape can run backward exactly once;
+    call :meth:`reset` (or build a fresh tape) before reusing it.
     """
 
     def __init__(self):
@@ -190,6 +192,16 @@ class Tape:
         self._used = False
 
     def backward(self, loss):
+        """Accumulate d(loss)/d(leaf) into each tracked leaf's `.grad`,
+        consuming the tape.
+
+        Each node is popped as it is replayed, so it and the arrays its
+        backward saved are freed once that backward has run. Its output's
+        gradient is taken off the output first: every consumer of the
+        output was recorded later, so it has already been replayed and
+        nothing reads that gradient again. Only leaf gradients remain, and
+        `len(tape)` is 0 afterwards.
+        """
         if not isinstance(loss, Tensor) or loss.size != 1:
             got = loss.shape if isinstance(loss, Tensor) else type(loss)
             raise TapeError(f"backward needs a scalar loss, got {got}")
@@ -199,8 +211,10 @@ class Tape:
             raise TapeError("cannot run backward over an empty tape")
         self._used = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
-            out_grad = node.output.grad
+        nodes = self._nodes
+        while nodes:
+            node = nodes.pop()
+            out_grad, node.output.grad = node.output.grad, None
             if out_grad is None:
                 continue
             grads = node.backward(out_grad)

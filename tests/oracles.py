@@ -10,8 +10,9 @@ the per-line votes and controls readers and the per-task vote
 aggregation and full-range KDE grid, kept as the references the joined
 readers and the columnar and windowed versions must equal bit for bit; and
 the straightforward crop and pair preprocessing, augmentation, softmax, GELU,
-out-of-place `linear` and dropout masks, which their leaner replacements
-must equal bit for bit.
+out-of-place `linear` and dropout masks, and the tape replay that keeps
+every node and gradient, which their leaner replacements must equal bit
+for bit.
 """
 
 import contextlib
@@ -663,3 +664,19 @@ def drop_path_oracle(x, ctx):
     shape = (x.shape[0],) + (1,) * (x.ndim - 1)
     mask = (ctx.rng.random(shape) < keep) / keep
     return x * T.constant(mask.astype(x.data.dtype, copy=False))
+
+
+def backward_oracle(tape, loss):
+    """`Tape.backward`'s replay without consuming the tape: every node is
+    replayed in reverse and kept, and every gradient, non-leaf ones too,
+    stays on its tensor."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape._nodes):
+        out_grad = node.output.grad
+        if out_grad is None:
+            continue
+        grads = node.backward(out_grad)
+        for t, g in zip(node.inputs, grads):
+            if g is None or not t.requires_grad:
+                continue
+            t.grad = g if t.grad is None else t.grad + g

@@ -1,13 +1,15 @@
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
+from oracles import backward_oracle
 
 from agegender import tensor as T
 from agegender.config import micro_config, tiny_config
-from agegender.errors import DimensionError, InputError
+from agegender.errors import DimensionError, InputError, TapeError
 from agegender.fusion import (
     CropPair,
     FaceBodyModel,
@@ -17,7 +19,9 @@ from agegender.fusion import (
 )
 from agegender.gradcheck import check_gradients
 from agegender.losses import combined_loss, gender_loss, weighted_mse
+from agegender.optim import AdamW
 from agegender.tensor import Tape
+from agegender.volo import TrainContext
 
 
 @pytest.fixture
@@ -282,9 +286,8 @@ def test_model_gradcheck_micro(rng):
 def test_float32_model_computes_in_float32_end_to_end(rng):
     # one taped step with dropout and drop-path on, then an untaped forward:
     # a float64 constant anywhere would promote its node and everything
-    # downstream of it
-    from agegender.volo import TrainContext
-
+    # downstream of it. Backward consumes the tape, so node outputs are read
+    # before it, and each node's gradients as its backward runs.
     cfg = tiny_config()
     assert cfg.dtype == "float32" and cfg.drop_rate > 0 and cfg.drop_path_rate > 0
     model = FaceBodyModel(cfg)
@@ -297,13 +300,91 @@ def test_float32_model_computes_in_float32_end_to_end(rng):
             gender_loss(logits, [0, 1, 1, 0]),
             cfg.gender_loss_weight,
         )
-        tape.backward(loss)
     float32 = np.dtype(np.float32)
     assert {node.output.data.dtype for node in tape._nodes} == {float32}
-    assert {node.output.grad.dtype for node in tape._nodes if node.output.grad is not None} == {float32}
+    grad_dtypes = set()
+
+    def recording(backward):
+        def wrapper(g):
+            grads = backward(g)
+            grad_dtypes.add(g.dtype)
+            grad_dtypes.update(x.dtype for x in grads if x is not None)
+            return grads
+
+        return wrapper
+
+    for node in tape._nodes:
+        node.backward = recording(node.backward)
+    tape.backward(loss)
+    assert grad_dtypes == {float32}
     assert all(p.data.dtype == float32 and p.grad.dtype == float32 for p in model.params.values())
     logits, age = model.forward_batch(faces, bodies)
     assert logits.data.dtype == float32 and age.data.dtype == float32
+
+
+def _taped_step(model, seed, skip=None, tape=None, batch=4):
+    """(tape, loss, logits, age) of one seeded forward with dropout and
+    drop-path on, recorded on `tape` (a fresh one by default); backward is
+    left to the caller."""
+    cfg = model.config
+    assert cfg.drop_rate > 0 and cfg.drop_path_rate > 0
+    rng = np.random.default_rng(seed)
+    faces, bodies = crops(rng, cfg, batch), crops(rng, cfg, batch)
+    ctx = TrainContext(rng=rng, drop_rate=cfg.drop_rate, drop_path_rate=cfg.drop_path_rate)
+    with Tape() if tape is None else tape as tape:
+        logits, age = model.forward_batch(faces, bodies, ctx=ctx, skip=skip)
+        loss = combined_loss(
+            weighted_mse(age, rng.random(batch), rng.random(batch) + 0.5),
+            gender_loss(logits, rng.integers(0, 2, batch).tolist()),
+            cfg.gender_loss_weight,
+        )
+    return tape, loss, logits, age
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_consuming_backward_grads_are_bitwise_the_keeping_replay(dtype):
+    cfg = tiny_config(dtype=dtype)
+    models = [FaceBodyModel(cfg) for _ in range(2)]
+    optimizers = [AdamW(m.params, cfg) for m in models]
+    for seed, skip in ((31, None), (32, "face"), (33, None)):
+        grads = []
+        for model, backward in zip(models, (Tape.backward, backward_oracle)):
+            tape, loss, _, _ = _taped_step(model, seed, skip)
+            backward(tape, loss)
+            grads.append({n: p.grad.tobytes() for n, p in model.params.items() if p.grad is not None})
+        assert grads[0] == grads[1]
+        assert ("face_embed.weight" in grads[0]) == (skip != "face")
+        for model, opt in zip(models, optimizers):
+            opt.step(0.01)
+            model.zero_grads()
+
+
+def test_backward_consumes_the_tape_and_keeps_only_leaf_grads():
+    model = FaceBodyModel(tiny_config())
+    tape, loss, logits, age = _taped_step(model, 41)
+    outputs = [node.output for node in tape._nodes]
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert all(t.grad is None for t in outputs)
+    assert all(p.grad is not None for p in model.params.values())
+    with pytest.raises(TapeError):
+        tape.backward(loss)
+
+    # node outputs die with their nodes, save those the caller still holds;
+    # the loss arithmetic's 0-d results are NumPy scalars, which take no
+    # weak reference
+    model.zero_grads()
+    tape.reset()
+    _, loss, logits, age = _taped_step(model, 42, tape=tape)
+    held = {id(t.data) for t in (loss, logits, age)}
+    arrays = [node.output.data for node in tape._nodes if isinstance(node.output.data, np.ndarray)]
+    refs = [(weakref.ref(a), id(a) in held) for a in arrays]
+    del arrays
+    assert len(refs) > 100 and sum(h for _, h in refs) == 2
+    tape.backward(loss)
+    assert len(tape) == 0
+    assert [ref() is not None for ref, _ in refs] == [h for _, h in refs]
+    assert all(p.grad is not None for p in model.params.values())
 
 
 def test_freeze_blocks_grads_and_updates(rng):

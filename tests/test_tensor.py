@@ -694,6 +694,19 @@ def test_grad_accumulates_across_tapes():
     np.testing.assert_array_equal(x.grad, [12.0])
 
 
+def test_gradients_accumulate_out_of_place():
+    # add hands one gradient array to both its inputs; `a`'s later
+    # consumer `w` is replayed before `b`'s node, so adding into `a.grad`
+    # in place would also change the gradient `b` is still to read
+    x = parameter([1.0, 2.0])
+    with Tape() as tape:
+        a = x * 2.0
+        b = x * 3.0
+        w = a * 5.0
+        tape.backward(((a + b) + w).sum())
+    np.testing.assert_array_equal(x.grad, [15.0, 15.0])
+
+
 def test_frozen_leaf_gets_no_grad():
     x = parameter([1.0, 2.0])
     w = Tensor([2.0, 2.0], requires_grad=False)
